@@ -137,10 +137,13 @@ def _cmd_experiment(args) -> int:
     counts: dict[str, int] = {}
     for record in records:
         counts[record.status] = counts.get(record.status, 0) + 1
-    sandwich_failures = sum(1 for r in records if not r.sandwich_ok)
+    sandwich_failures = sum(1 for r in records if r.status != "error" and not r.sandwich_ok)
     print(f"trials={len(records)} " +
           " ".join(f"{k}={v}" for k, v in sorted(counts.items())) +
           f" sandwich_failures={sandwich_failures}")
+    if "error" in counts:
+        print(f"numerical failure: {counts['error']} trial(s) recorded as errors", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_OK
 
 

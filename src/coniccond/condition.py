@@ -1,7 +1,7 @@
 """Condition numbers for homogeneous conic feasibility and their witnesses.
 
-Three related quantities are computed for a cone C and a matrix A with
-row span W:
+For a cone C and a matrix A with row span W, ``analyze`` solves the two
+cone-subspace angles once; the conditions and the flip witness derive from it:
 
 * the Grassmann condition of W: reciprocal projection distance from W
   to the set of subspaces touching C;
@@ -15,32 +15,25 @@ row span W:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import (
-    Cone,
-    Feasibility,
-    FeasibilityStatus,
-    classify_feasibility,
-    dual_cone,
-    extremize_quadratic_over_cone,
-)
-from .errors import (
-    DimensionError,
-    NotBalanced,
-    NotDualFeasible,
-    NotPrimalFeasible,
-    XInComplement,
-    ZeroVector,
-)
-from .grassmann import Subspace, angle_point_subspace, subspace_from_rowspan
+from .cones import (Cone, ConeAngleResult, Feasibility, FeasibilityStatus, _stream,
+                    cone_subspace_angle, dual_cone, extremize_quadratic_over_cone)
+from .errors import (DimensionError, NotBalanced, NotDualFeasible, NotPrimalFeasible,
+                     XInComplement, ZeroVector)
+from .grassmann import Subspace, angle_point_subspace, complement, subspace_from_rowspan
 from .linalg import RANK_TOLERANCE, is_balanced, kappa, require_matrix
 
 # Below this relative size, a minimal flipping perturbation counts as zero
 # and the instance as ill posed.
 _ZERO_DISTANCE = 1e-12
+
+
+def json_number(x: float):
+    """x itself, or the string "inf" for infinity, which JSON cannot carry."""
+    return "inf" if math.isinf(x) else x
 
 
 @dataclass(frozen=True)
@@ -82,15 +75,12 @@ class ConditionValue:
         return self.lower, self.upper
 
     def to_json(self) -> dict:
-        def num(x: float):
-            return "inf" if math.isinf(x) else x
-
         if self.is_exact:
-            return {"kind": "exact", "value": num(self.value), "basis": self.basis_of_claim}
+            return {"kind": "exact", "value": json_number(self.value), "basis": self.basis_of_claim}
         return {
             "kind": "interval",
-            "lower": num(self.lower),
-            "upper": num(self.upper),
+            "lower": json_number(self.lower),
+            "upper": json_number(self.upper),
             "basis": self.basis_of_claim,
         }
 
@@ -114,16 +104,103 @@ class PerturbationWitness:
     normalization: float = 1.0
 
 
-def _status(cone: Cone, w: Subspace, seed: int) -> FeasibilityStatus:
-    return classify_feasibility(cone, w, seed=seed)
+def _witness(delta, property_forced, vector, residual, normalization=1.0) -> PerturbationWitness:
+    return PerturbationWitness(delta, float(np.linalg.norm(delta)), property_forced, vector,
+                               float(residual), normalization)
 
 
-def _condition_from_status(status: FeasibilityStatus) -> ConditionValue:
-    if status.tag is Feasibility.PRIMAL_STRICT:
-        return ConditionValue.exact(1.0 / math.sin(status.primal_angle), "primal-angle")
-    if status.tag is Feasibility.DUAL_STRICT:
-        return ConditionValue.exact(1.0 / math.sin(status.dual_angle), "dual-angle")
-    return ConditionValue.exact(math.inf, "ill-posed")
+def _min_image_over_dual(cone: Cone, a: np.ndarray, seed: int):
+    """Minimize ||A p|| over unit p in the dual cone; returns (value, p, method)."""
+    ext = extremize_quadratic_over_cone(a.T @ a, dual_cone(cone), maximize=False, seed=seed)
+    return float(np.sqrt(max(ext.value, 0.0))), ext.point, ext.method
+
+
+def _dual_route(spectral: float, minimum: tuple, prefix: str) -> ConditionValue:
+    """||A|| over the dual-route minimum; infinite when that minimum vanishes."""
+    dist, _, method = minimum
+    if dist <= _ZERO_DISTANCE * max(1.0, spectral):
+        return ConditionValue.exact(math.inf, f"{prefix}ill-posed")
+    return ConditionValue.exact(spectral / dist, f"{prefix}dual-route-{method}")
+
+
+@dataclass(eq=False)
+class Analysis:
+    """One instance solved once: primal = angle(C, W), dual = angle(dual C, W_perp).
+
+    The classification, both conditions and the flip witness derive from
+    these two results.  The dual-route minimum of ||A p|| over unit p in
+    the dual cone is solved on first use, at most once, and needs ``a``.
+    """
+
+    cone: Cone
+    w: Subspace
+    seed: int
+    a: np.ndarray | None
+    primal: ConeAngleResult
+    dual: ConeAngleResult
+    _dual_minimum: tuple | None = field(default=None, repr=False)
+
+    @property
+    def status(self) -> FeasibilityStatus:
+        return FeasibilityStatus.from_angles(self.primal.angle, self.dual.angle)
+
+    @property
+    def grassmann(self) -> ConditionValue:
+        status = self.status
+        if status.tag is Feasibility.PRIMAL_STRICT:
+            return ConditionValue.exact(1.0 / math.sin(status.primal_angle), "primal-angle")
+        if status.tag is Feasibility.DUAL_STRICT:
+            return ConditionValue.exact(1.0 / math.sin(status.dual_angle), "dual-angle")
+        return ConditionValue.exact(math.inf, "ill-posed")
+
+    def _matrix(self) -> np.ndarray:
+        if self.a is None:
+            raise ValueError("this quantity needs the matrix: analyze(..., a=A)")
+        return self.a
+
+    def dual_minimum(self) -> tuple[float, np.ndarray, str]:
+        """min ||A p|| over unit p in the dual cone, as (value, p, method)."""
+        if self._dual_minimum is None:
+            self._dual_minimum = _min_image_over_dual(self.cone, self._matrix(), self.seed)
+        return self._dual_minimum
+
+    def renegar(self) -> ConditionValue:
+        """Renegar condition of the full-rank matrix ``a``; see renegar_condition."""
+        if is_balanced(self._matrix()):
+            value = self.grassmann
+            return ConditionValue.exact(value.value, f"balanced:{value.basis_of_claim}")
+        status = self.status
+        if status.tag is Feasibility.DUAL_STRICT:
+            return _dual_route(float(np.linalg.norm(self.a, 2)), self.dual_minimum(), "")
+        if status.tag is Feasibility.PRIMAL_STRICT:
+            grassmann = self.grassmann.value
+            return ConditionValue.interval(grassmann, kappa(self.a) * grassmann, "sandwich")
+        return ConditionValue.exact(math.inf, "ill-posed")
+
+    def flip_witness(self) -> PerturbationWitness:
+        """The perturbation of witness_flip_dual_to_primal for ``a``."""
+        status = self.status
+        if status.tag is not Feasibility.DUAL_STRICT:
+            raise NotDualFeasible(f"instance classified as {status.tag.value}")
+        _, p, _ = self.dual_minimum()
+        delta = -np.outer(self.a @ p, p)
+        return _witness(delta, "flips_to_primal", p, np.linalg.norm((self.a + delta) @ p))
+
+
+def analyze(cone: Cone, w: Subspace | None, seed: int = 0, a=None) -> Analysis:
+    """Solve the primal and the dual cone-subspace angle of W, once each.
+
+    W is the row span of ``a`` when ``w`` is None.  The Renegar condition
+    and the flip witness need ``a``, whose row span must then be W.
+    """
+    arr = None if a is None else require_matrix(a)
+    if w is None:
+        w = subspace_from_rowspan(arr)
+    if cone.dim != w.ambient_dim:
+        raise DimensionError(f"cone dimension {cone.dim} != ambient {w.ambient_dim}")
+    primal = cone_subspace_angle(cone, w, seed=seed)
+    dual = cone_subspace_angle(dual_cone(cone), complement(w), seed=seed)
+    return Analysis(cone=cone, w=w, seed=seed, a=arr, primal=primal, dual=dual)
 
 
 def grassmann_condition(cone: Cone, w: Subspace, seed: int = 0) -> ConditionValue:
@@ -133,13 +210,7 @@ def grassmann_condition(cone: Cone, w: Subspace, seed: int = 0) -> ConditionValu
     the dual angle for strictly dual feasible W, infinity when W itself
     touches the cone.
     """
-    return _condition_from_status(_status(cone, w, seed))
-
-
-def _min_image_over_dual(cone: Cone, a: np.ndarray, seed: int):
-    """Minimize ||A p|| over unit p in the dual cone; returns (value, p, method)."""
-    ext = extremize_quadratic_over_cone(a.T @ a, dual_cone(cone), maximize=False, seed=seed)
-    return float(np.sqrt(max(ext.value, 0.0))), ext.point, ext.method
+    return analyze(cone, w, seed=seed).grassmann
 
 
 def distance_to_primal_feasible(cone: Cone, a, seed: int = 0) -> float:
@@ -170,30 +241,15 @@ def renegar_condition(cone: Cone, a, seed: int = 0) -> ConditionValue:
         raise DimensionError(f"requires m < n, got shape {arr.shape}")
     if cone.dim != n:
         raise DimensionError(f"cone dimension {cone.dim} != column count {n}")
-    spectral = float(np.linalg.norm(arr, 2))
-    if spectral == 0.0:
-        raise ZeroVector("the condition of the zero matrix is undefined")
     sigma = np.linalg.svd(arr, compute_uv=False)
+    if sigma[0] == 0.0:
+        raise ZeroVector("the condition of the zero matrix is undefined")
     if sigma[-1] <= RANK_TOLERANCE * sigma[0]:
-        # Rank deficiency makes A dual feasible; the dual-route minimum
-        # still measures the distance to the primal feasible set.
-        dist, _, method = _min_image_over_dual(cone, arr, seed)
-        if dist <= _ZERO_DISTANCE * max(1.0, spectral):
-            return ConditionValue.exact(math.inf, "rank-deficient-ill-posed")
-        return ConditionValue.exact(spectral / dist, f"rank-deficient-dual-route-{method}")
-    if is_balanced(arr):
-        value = grassmann_condition(cone, subspace_from_rowspan(arr), seed=seed)
-        return ConditionValue.exact(value.value, f"balanced:{value.basis_of_claim}")
-    status = _status(cone, subspace_from_rowspan(arr), seed)
-    if status.tag is Feasibility.DUAL_STRICT:
-        dist, _, method = _min_image_over_dual(cone, arr, seed)
-        if dist <= _ZERO_DISTANCE * max(1.0, spectral):
-            return ConditionValue.exact(math.inf, "ill-posed")
-        return ConditionValue.exact(spectral / dist, f"dual-route-{method}")
-    if status.tag is Feasibility.PRIMAL_STRICT:
-        grassmann = 1.0 / math.sin(status.primal_angle)
-        return ConditionValue.interval(grassmann, kappa(arr) * grassmann, "sandwich")
-    return ConditionValue.exact(math.inf, "ill-posed")
+        # Rank deficiency makes A dual feasible and leaves no row span to
+        # analyze; the dual-route minimum still measures the distance to
+        # the primal feasible set.
+        return _dual_route(float(sigma[0]), _min_image_over_dual(cone, arr, seed), "rank-deficient-")
+    return analyze(cone, None, seed=seed, a=arr).renegar()
 
 
 def _unit_vector(x, dim: int) -> tuple[np.ndarray, float]:
@@ -224,26 +280,17 @@ def witness_image(b, x) -> PerturbationWitness:
     """
     arr = _require_balanced(b)
     unit, norm = _unit_vector(x, arr.shape[1])
-    w = Subspace(arr)
-    alpha = angle_point_subspace(unit, w)
+    alpha = angle_point_subspace(unit, Subspace(arr))
     if alpha >= math.pi / 2.0 - 1e-8:
         raise XInComplement("x lies in the orthogonal complement of the row span")
     coords = arr @ unit
     cos_alpha = math.cos(alpha)
     if math.sin(alpha) == 0.0:
-        delta = np.zeros_like(arr)
-        return PerturbationWitness(delta, 0.0, "image_contains", unit, 0.0, norm)
+        return _witness(np.zeros_like(arr), "image_contains", unit, 0.0, norm)
     p = (arr.T @ coords) / cos_alpha
     delta = np.outer(arr @ p, cos_alpha * unit - p)
     residual = math.sin(angle_point_subspace(unit, subspace_from_rowspan(arr + delta)))
-    return PerturbationWitness(
-        delta=delta,
-        frob_norm=float(np.linalg.norm(delta)),
-        property_forced="image_contains",
-        vector=unit,
-        residual=residual,
-        normalization=norm,
-    )
+    return _witness(delta, "image_contains", unit, residual, norm)
 
 
 def witness_kernel(b, x) -> PerturbationWitness:
@@ -256,15 +303,7 @@ def witness_kernel(b, x) -> PerturbationWitness:
     arr = _require_balanced(b)
     unit, norm = _unit_vector(x, arr.shape[1])
     delta = -np.outer(arr @ unit, unit)
-    residual = float(np.linalg.norm((arr + delta) @ unit))
-    return PerturbationWitness(
-        delta=delta,
-        frob_norm=float(np.linalg.norm(delta)),
-        property_forced="kernel_contains",
-        vector=unit,
-        residual=residual,
-        normalization=norm,
-    )
+    return _witness(delta, "kernel_contains", unit, np.linalg.norm((arr + delta) @ unit), norm)
 
 
 def witness_flip_dual_to_primal(cone: Cone, a, seed: int = 0) -> PerturbationWitness:
@@ -274,23 +313,7 @@ def witness_flip_dual_to_primal(cone: Cone, a, seed: int = 0) -> PerturbationWit
     -(Ap)p^T, which puts p into the kernel of the perturbed matrix and
     realizes the distance to the primal feasible set.
     """
-    arr = require_matrix(a)
-    if cone.dim != arr.shape[1]:
-        raise DimensionError(f"cone dimension {cone.dim} != column count {arr.shape[1]}")
-    status = _status(cone, subspace_from_rowspan(arr), seed)
-    if status.tag is not Feasibility.DUAL_STRICT:
-        raise NotDualFeasible(f"instance classified as {status.tag.value}")
-    dist, p, _ = _min_image_over_dual(cone, arr, seed)
-    delta = -np.outer(arr @ p, p)
-    residual = float(np.linalg.norm((arr + delta) @ p))
-    return PerturbationWitness(
-        delta=delta,
-        frob_norm=float(np.linalg.norm(delta)),
-        property_forced="flips_to_primal",
-        vector=p,
-        residual=residual,
-        normalization=1.0,
-    )
+    return analyze(cone, None, seed=seed, a=a).flip_witness()
 
 
 def sigma_distances(cone: Cone, w: Subspace, seed: int = 0) -> tuple[float, float]:
@@ -299,7 +322,7 @@ def sigma_distances(cone: Cone, w: Subspace, seed: int = 0) -> tuple[float, floa
     d_p is the reciprocal Grassmann condition (0 when ill posed) and the
     geodesic distance is arcsin(d_p).
     """
-    value = grassmann_condition(cone, w, seed=seed).value
+    value = analyze(cone, w, seed=seed).grassmann.value
     d_p = 0.0 if math.isinf(value) else 1.0 / value
     return d_p, math.asin(d_p)
 
@@ -322,11 +345,9 @@ def inclusion_radius_check(
     resolution ``bin_width`` plus ``samples`` random directions.
     Agreement means within 10 percent of 1/C(W).
     """
-    from .cones import _stream
-
     if samples < 1000:
         raise ValueError("samples must be at least 1000")
-    status = _status(cone, w, seed)
+    status = analyze(cone, w, seed=seed).status
     if status.tag is not Feasibility.PRIMAL_STRICT:
         raise NotPrimalFeasible(f"instance classified as {status.tag.value}")
     dual = dual_cone(cone)
@@ -355,8 +376,6 @@ def inclusion_radius_check(
 
 def _direction_grid(m: int, resolution: float, seed: int) -> np.ndarray:
     """Unit directions in R^m with angular spacing about ``resolution``."""
-    from .cones import _stream
-
     if m == 1:
         return np.array([[1.0], [-1.0]])
     if m == 2:

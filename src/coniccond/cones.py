@@ -28,7 +28,7 @@ from .errors import (
     InconsistentClassification,
     NumericalFailure,
 )
-from .grassmann import Subspace, complement
+from .grassmann import Subspace
 
 # Orthant enumeration is exact but exponential; beyond this many
 # coordinates the multistart path takes over.
@@ -569,35 +569,30 @@ class FeasibilityStatus:
     primal_angle: float
     dual_angle: float
 
+    @staticmethod
+    def from_angles(primal_angle: float, dual_angle: float,
+                    angle_threshold: float = ANGLE_THRESHOLD) -> "FeasibilityStatus":
+        """The status the two angles imply; see classify_feasibility."""
+        p_strict, d_strict = primal_angle > angle_threshold, dual_angle > angle_threshold
+        if p_strict and d_strict:
+            raise InconsistentClassification(f"both angles exceed the threshold: primal "
+                                             f"{primal_angle:.3e}, dual {dual_angle:.3e}")
+        tag = (Feasibility.PRIMAL_STRICT if p_strict
+               else Feasibility.DUAL_STRICT if d_strict else Feasibility.ILL_POSED)
+        return FeasibilityStatus(tag, primal_angle, dual_angle)
 
-def classify_feasibility(
-    cone: Cone,
-    w: Subspace,
-    angle_threshold: float = ANGLE_THRESHOLD,
-    seed: int = 0,
-) -> FeasibilityStatus:
+
+def classify_feasibility(cone: Cone, w: Subspace, angle_threshold: float = ANGLE_THRESHOLD,
+                         seed: int = 0) -> FeasibilityStatus:
     """Classify W as strictly primal feasible, strictly dual feasible, or ill posed.
 
     Strict primal feasibility means W meets the cone only at the origin;
     strict dual feasibility means W meets the cone's interior; ill posed
     means W touches the cone.  Both angles above the threshold violate
     the theorem of alternatives and raise InconsistentClassification.
+    A view of ``condition.analyze``, which solves each angle once.
     """
-    if cone.dim != w.ambient_dim:
-        raise DimensionError(f"cone dimension {cone.dim} != ambient {w.ambient_dim}")
-    primal = cone_subspace_angle(cone, w, seed=seed)
-    dual = cone_subspace_angle(dual_cone(cone), complement(w), seed=seed)
-    p_strict = primal.angle > angle_threshold
-    d_strict = dual.angle > angle_threshold
-    if p_strict and d_strict:
-        raise InconsistentClassification(
-            f"both angles exceed the threshold: primal {primal.angle:.3e}, "
-            f"dual {dual.angle:.3e}"
-        )
-    if p_strict:
-        tag = Feasibility.PRIMAL_STRICT
-    elif d_strict:
-        tag = Feasibility.DUAL_STRICT
-    else:
-        tag = Feasibility.ILL_POSED
-    return FeasibilityStatus(tag=tag, primal_angle=primal.angle, dual_angle=dual.angle)
+    from .condition import analyze  # condition builds on this module
+
+    analysis = analyze(cone, w, seed=seed)
+    return FeasibilityStatus.from_angles(analysis.primal.angle, analysis.dual.angle, angle_threshold)

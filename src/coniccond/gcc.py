@@ -3,9 +3,9 @@
 The GCC condition of a matrix is 1/|cos(rho)| where rho is the angular
 radius of the smallest spherical cap containing its normalized columns.
 The cap is found by exhaustive enumeration of candidate support sets of
-at most m points; each nondegenerate subset determines a spherical
-circumcenter, and both the circumcenter and its antipode are tried so
-caps wider than a hemisphere are found too.
+at most m points; each subset with a nonsingular Gram matrix determines
+a spherical circumcenter, and both the circumcenter and its antipode are
+tried so caps wider than a hemisphere are found too.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from .condition import ConditionValue
 from .errors import EmptyInput, NonUnitPoint, ZeroColumn
 from .linalg import require_matrix
 
-# Gram matrices with eigenvalue ratio below this count as degenerate
-# support candidates and are skipped.
-_DEGENERATE_TOL = 1e-10
 # Columns this close to angular radius pi/2 make the condition infinite.
 _RIGHT_ANGLE_TOL = 1e-9
 
@@ -46,7 +43,7 @@ def smallest_enclosing_cap(points) -> SphericalCap:
 
     Candidate centers are the points themselves and the spherical
     circumcenters (both signs) of every subset of 2..m points with a
-    nondegenerate Gram matrix; the minimal enclosing radius over all
+    nonsingular Gram matrix; the minimal enclosing radius over all
     candidates is exact at this desk scale.  Ties are broken toward the
     lexicographically smallest boundary index set.
     """
@@ -66,10 +63,12 @@ def smallest_enclosing_cap(points) -> SphericalCap:
         for subset in itertools.combinations(range(count), size):
             sub = pts[list(subset)]
             gram = sub @ sub.T
-            eigvals = np.linalg.eigvalsh(gram)
-            if eigvals[0] <= _DEGENERATE_TOL * max(eigvals[-1], 1.0):
+            # Near-singular Gram matrices are kept: every candidate's radius
+            # is measured below, and caps of radius near pi/2 have them.
+            try:
+                weights = np.linalg.solve(gram, np.ones(size))
+            except np.linalg.LinAlgError:
                 continue
-            weights = np.linalg.solve(gram, np.ones(size))
             center = sub.T @ weights
             norm = float(np.linalg.norm(center))
             if norm < 1e-12:

@@ -11,28 +11,13 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .condition import (
-    grassmann_condition,
-    iteration_bound_estimate,
-    renegar_condition,
-    witness_flip_dual_to_primal,
-    witness_image,
-)
-from .cones import (
-    Cone,
-    Feasibility,
-    Orthant,
-    _stream,
-    classify_feasibility,
-    cone_subspace_angle,
-    parse_cone,
-)
-from .errors import DimensionError, RankDeficient
+from .condition import analyze, iteration_bound_estimate, json_number, witness_image
+from .cones import Cone, Feasibility, Orthant, _stream, classify_feasibility, parse_cone
+from .errors import DimensionError, InconsistentClassification, NumericalFailure, RankDeficient
 from .gcc import gcc_condition
 from .grassmann import Subspace, subspace_from_rowspan
 from .linalg import kappa, polar_decompose, require_matrix
@@ -125,15 +110,6 @@ def oracle_cone_angle(cone: Cone, w: Subspace, samples: int = 1_000_000, seed: i
     return float(np.arctan2(math.sqrt(max(0.0, 1.0 - best_cos**2)), best_cos))
 
 
-def _classify_tag_or_degenerate(cone: Cone, a: np.ndarray, seed: int):
-    """Feasibility tag of the row span, or 'degenerate' on rank deficiency."""
-    try:
-        w = subspace_from_rowspan(a)
-    except RankDeficient:
-        return "degenerate"
-    return classify_feasibility(cone, w, seed=seed).tag
-
-
 def _make_flip_checker(cone: Cone, tag0, seed: int):
     """Predicate deciding whether a perturbation changes the feasibility tag.
 
@@ -173,7 +149,11 @@ def oracle_perturbation_bracket(cone: Cone, a, budget: int = 2000, seed: int = 0
         raise ValueError("budget must be at least 1000")
     arr = require_matrix(a)
     m, n = arr.shape
-    tag0 = _classify_tag_or_degenerate(cone, arr, seed)
+    try:
+        analysis = analyze(cone, None, seed=seed, a=arr)
+        tag0 = analysis.status.tag
+    except RankDeficient:
+        tag0 = "degenerate"
     spectral = float(np.linalg.norm(arr, 2))
     best = math.inf
 
@@ -185,11 +165,10 @@ def oracle_perturbation_bracket(cone: Cone, a, budget: int = 2000, seed: int = 0
     # Witness-guided candidates realize the exact distance when available.
     guided = []
     if tag0 is Feasibility.DUAL_STRICT:
-        guided.append(witness_flip_dual_to_primal(cone, arr, seed=seed).delta)
+        guided.append(analysis.flip_witness().delta)
     elif tag0 is Feasibility.PRIMAL_STRICT:
         factors = polar_decompose(arr)
-        target = cone_subspace_angle(cone, subspace_from_rowspan(arr), seed=seed).witness
-        balanced_delta = witness_image(factors.balanced_part, target).delta
+        balanced_delta = witness_image(factors.balanced_part, analysis.primal.witness).delta
         guided.append(factors.scale @ balanced_delta)
         # Overshoot slightly so the perturbed span crosses the boundary
         # instead of landing exactly on it.
@@ -236,30 +215,32 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialRecord:
+    """One trial: a Feasibility value as status, or status "error" and the error."""
+
     trial_index: int
     status: str
-    grassmann: float
-    kappa: float
-    renegar_kind: str
-    renegar_lower: float
-    renegar_upper: float
-    sandwich_ok: bool
+    grassmann: float = math.nan
+    kappa: float = math.nan
+    renegar_kind: str = ""
+    renegar_lower: float = math.nan
+    renegar_upper: float = math.nan
+    sandwich_ok: bool = False
+    error: str = ""
 
     def to_json(self) -> dict:
-        def num(x: float):
-            return "inf" if math.isinf(x) else x
-
+        if self.status == "error":
+            return {"trial_index": self.trial_index, "status": "error", "error": self.error}
         renegar: dict = {"kind": self.renegar_kind}
         if self.renegar_kind == "exact":
-            renegar["value"] = num(self.renegar_lower)
+            renegar["value"] = json_number(self.renegar_lower)
         else:
-            renegar["lower"] = num(self.renegar_lower)
-            renegar["upper"] = num(self.renegar_upper)
+            renegar["lower"] = json_number(self.renegar_lower)
+            renegar["upper"] = json_number(self.renegar_upper)
         return {
             "trial_index": self.trial_index,
             "status": self.status,
-            "grassmann": num(self.grassmann),
-            "kappa": num(self.kappa),
+            "grassmann": json_number(self.grassmann),
+            "kappa": json_number(self.kappa),
             "renegar": renegar,
             "sandwich_ok": self.sandwich_ok,
         }
@@ -275,12 +256,17 @@ def _sandwich_ok(grassmann: float, kap: float, lower: float, upper: float) -> bo
 
 
 def _run_trial(cfg: ExperimentConfig, cone: Cone, index: int) -> TrialRecord:
+    """One trial; a numerical failure is recorded as an error, not raised."""
     a = gaussian_matrix(trial_stream(cfg.seed, index), cfg.m, cfg.n)
-    g = grassmann_condition(cone, subspace_from_rowspan(a), seed=cfg.seed + index).value
+    try:
+        analysis = analyze(cone, None, seed=cfg.seed + index, a=a)
+        status = analysis.status
+        g = analysis.grassmann.value
+        ren = analysis.renegar()
+    except (NumericalFailure, InconsistentClassification) as exc:
+        return TrialRecord(trial_index=index, status="error", error=f"{type(exc).__name__}: {exc}")
     kap = kappa(a)
-    ren = renegar_condition(cone, a, seed=cfg.seed + index)
     lower, upper = ren.bounds()
-    status = classify_feasibility(cone, subspace_from_rowspan(a), seed=cfg.seed + index)
     return TrialRecord(
         trial_index=index,
         status=status.tag.value,
@@ -318,6 +304,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     if workers == 1:
         records = [_run_trial(cfg, cone, i) for i in indices]
     else:
+        from concurrent.futures import ThreadPoolExecutor  # only thread pools need it
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(lambda i: _run_trial(cfg, cone, i), indices))
     records.sort(key=lambda r: r.trial_index)
@@ -328,18 +316,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     return records
 
 
-def _json_num(x: float):
-    return "inf" if math.isinf(x) else x
-
-
 def _witness_entry(witness, applies_to: str) -> dict:
     return {
         "property": witness.property_forced,
         "applies_to": applies_to,
         "frob_norm": witness.frob_norm,
         "residual": witness.residual,
-        "vector": [float(v) for v in witness.vector],
-        "delta": [[float(x) for x in row] for row in witness.delta],
+        "vector": witness.vector.tolist(),
+        "delta": witness.delta.tolist(),
     }
 
 
@@ -353,34 +337,29 @@ def condition_report(cone: Cone, a, seed: int = 0, include_witnesses: bool = Fal
     """
     arr = require_matrix(a)
     m, n = arr.shape
-    if cone.dim != n:
-        raise DimensionError(f"cone dimension {cone.dim} != column count {n}")
-    w = subspace_from_rowspan(arr)
-    status = classify_feasibility(cone, w, seed=seed)
-    grassmann = grassmann_condition(cone, w, seed=seed)
-    renegar = renegar_condition(cone, arr, seed=seed)
+    analysis = analyze(cone, None, seed=seed, a=arr)
+    status = analysis.status
+    grassmann = analysis.grassmann
     report = {
         "m": m,
         "n": n,
         "cone": cone.spec(),
         "status": status.tag.value,
-        "kappa": _json_num(kappa(arr)),
-        "grassmann": _json_num(grassmann.value),
-        "renegar": renegar.to_json(),
+        "kappa": json_number(kappa(arr)),
+        "grassmann": json_number(grassmann.value),
+        "renegar": analysis.renegar().to_json(),
         "angles": {"primal": status.primal_angle, "dual": status.dual_angle},
-        "iteration_estimate": _json_num(iteration_bound_estimate(grassmann.value, n)),
+        "iteration_estimate": json_number(iteration_bound_estimate(grassmann.value, n)),
     }
     if isinstance(cone, Orthant) and np.all(np.linalg.norm(arr, axis=0) > 0.0):
-        report["gcc"] = _json_num(gcc_condition(arr).value)
+        report["gcc"] = json_number(gcc_condition(arr).value)
     if include_witnesses:
         witnesses = []
         if status.tag is Feasibility.DUAL_STRICT:
-            witnesses.append(_witness_entry(witness_flip_dual_to_primal(cone, arr, seed=seed), "input"))
+            witnesses.append(_witness_entry(analysis.flip_witness(), "input"))
         elif status.tag is Feasibility.PRIMAL_STRICT:
-            factors = polar_decompose(arr)
-            target = cone_subspace_angle(cone, w, seed=seed).witness
-            witnesses.append(
-                _witness_entry(witness_image(factors.balanced_part, target), "balanced_representative")
-            )
+            # The row span's basis is the balanced part of the polar decomposition.
+            witness = witness_image(analysis.w.basis, analysis.primal.witness)
+            witnesses.append(_witness_entry(witness, "balanced_representative"))
         report["witnesses"] = witnesses
     return report

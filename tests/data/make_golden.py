@@ -1,0 +1,50 @@
+"""Regenerate the golden outputs that tests/test_analysis.py compares byte for byte.
+
+Run from the repository root, only when an output change is intended:
+
+    PYTHONPATH=src python tests/data/make_golden.py
+
+It writes tests/data/golden_reports.jsonl (one condition report per fixed
+matrix, with and without witnesses) and tests/data/golden_experiment.jsonl
+(the records of ExperimentConfig(n=8, m=4, trials=40, seed=0)).
+"""
+
+import json
+import os
+from pathlib import Path
+
+from coniccond import ExperimentConfig, condition_report, parse_cone, run_experiment
+
+DATA = Path(__file__).resolve().parent
+
+# (name, cone spec, matrix): one instance per route through the report.
+CASES = (
+    ("orthant-dual-strict", "orthant:4", [[1.0, 2.0, 0.5, 1.5], [0.3, -1.0, 1.2, 0.4]]),
+    ("orthant-primal-strict", "orthant:4", [[1.0, -2.0, 0.5, 0.0], [0.0, 1.0, -1.5, -0.4]]),
+    ("orthant-ill-posed", "orthant:3", [[1.0, 0.0, 0.0], [0.0, 1.0, -1.0]]),
+    ("orthant-balanced-dual", "orthant:4", [[0.5, 0.5, 0.5, 0.5], [0.5, -0.5, 0.5, -0.5]]),
+    ("orthant-balanced-primal", "orthant:4", [[0.5, -0.5, 0.5, -0.5], [0.5, 0.5, -0.5, -0.5]]),
+    ("lorentz-4-primal", "lorentz:4", [[1.0, 0.2, -0.3, 0.1], [0.0, 1.0, 0.5, 0.2]]),
+    ("lorentz-4-dual", "lorentz:4", [[0.1, 0.0, 0.2, 1.0], [0.0, 1.0, 0.1, 0.3]]),
+)
+EXPERIMENT = dict(n=8, m=4, trials=40, seed=0)
+
+
+def report_lines():
+    for name, spec, matrix in CASES:
+        for witnesses in (False, True):
+            report = condition_report(parse_cone(spec), matrix, include_witnesses=witnesses)
+            yield json.dumps({"name": name, "cone": spec, "matrix": matrix,
+                              "witnesses": witnesses,
+                              "report": json.dumps(report, sort_keys=True)}) + "\n"
+
+
+def main():
+    (DATA / "golden_reports.jsonl").write_text("".join(report_lines()), encoding="utf-8")
+    os.environ.pop("CONIC_COND_THREADS", None)
+    run_experiment(ExperimentConfig(**EXPERIMENT,
+                                    output_path=str(DATA / "golden_experiment.jsonl")))
+
+
+if __name__ == "__main__":
+    main()

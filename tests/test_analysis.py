@@ -1,0 +1,203 @@
+"""One analysis per instance: solve counts, golden outputs and agreeing views."""
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import coniccond
+from coniccond import (
+    ExperimentConfig,
+    Feasibility,
+    NotDualFeasible,
+    Orthant,
+    analyze,
+    classify_feasibility,
+    condition_report,
+    cone_subspace_angle,
+    gaussian_matrix,
+    grassmann_condition,
+    kappa,
+    parse_cone,
+    polar_decompose,
+    renegar_condition,
+    run_experiment,
+    subspace_from_rowspan,
+    trial_stream,
+    witness_flip_dual_to_primal,
+    witness_image,
+)
+from coniccond.cli import main
+from coniccond.condition import json_number
+
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN_REPORTS = [json.loads(line) for line in (DATA / "golden_reports.jsonl").open()]
+# From tests/data/make_golden.py.
+GOLDEN_EXPERIMENT = dict(n=8, m=4, trials=40, seed=0)
+
+DUAL_STRICT = np.array([[1.0, 2.0, 0.5, 1.5], [0.3, -1.0, 1.2, 0.4]])
+PRIMAL_STRICT = np.array([[1.0, -2.0, 0.5, 0.0], [0.0, 1.0, -1.5, -0.4]])
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts extremize_quadratic_over_cone calls, wrapped wherever it is bound."""
+    original = coniccond.cones.extremize_quadratic_over_cone
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "coniccond" or name.startswith("coniccond.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.fixture
+def no_threads(monkeypatch):
+    monkeypatch.delenv("CONIC_COND_THREADS", raising=False)
+
+
+class TestSolveCounts:
+    def test_classify_solves_two_angles(self, solves):
+        classify_feasibility(Orthant(4), subspace_from_rowspan(DUAL_STRICT))
+        assert len(solves) == 2
+
+    def test_primal_strict_report_with_witness(self, solves):
+        report = condition_report(Orthant(4), PRIMAL_STRICT, include_witnesses=True)
+        assert report["status"] == "primal_strict" and report["witnesses"]
+        assert len(solves) == 2
+
+    def test_dual_strict_report_with_witness(self, solves):
+        # The Renegar dual route and the flip witness share one minimum.
+        report = condition_report(Orthant(4), DUAL_STRICT, include_witnesses=True)
+        assert report["status"] == "dual_strict"
+        assert report["renegar"]["basis"] == "dual-route-exact"
+        assert report["witnesses"]
+        assert len(solves) == 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_trial_solves_at_most_three(self, solves, no_threads, seed):
+        run_experiment(ExperimentConfig(n=6, m=3, trials=1, seed=seed))
+        assert 2 <= len(solves) <= 3
+
+    def test_dual_minimum_is_solved_once(self, solves):
+        analysis = analyze(Orthant(4), None, a=DUAL_STRICT)
+        first = analysis.dual_minimum()
+        assert analysis.dual_minimum() is first
+        analysis.renegar()
+        analysis.flip_witness()
+        assert len(solves) == 3
+
+
+class TestGolden:
+    @pytest.mark.parametrize(
+        "case", GOLDEN_REPORTS, ids=[f"{c['name']}-w{int(c['witnesses'])}" for c in GOLDEN_REPORTS]
+    )
+    def test_report_bytes(self, case):
+        report = condition_report(parse_cone(case["cone"]), case["matrix"],
+                                  include_witnesses=case["witnesses"])
+        assert json.dumps(report, sort_keys=True) == case["report"]
+
+    def test_experiment_bytes(self, tmp_path, no_threads):
+        out = tmp_path / "records.jsonl"
+        run_experiment(ExperimentConfig(**GOLDEN_EXPERIMENT, output_path=str(out)))
+        assert out.read_bytes() == (DATA / "golden_experiment.jsonl").read_bytes()
+
+
+def _views(cone, a) -> dict:
+    """The report's fields, each from its standalone public function."""
+    w = subspace_from_rowspan(a)
+    status = classify_feasibility(cone, w)
+    fields = {
+        "status": status.tag.value,
+        "angles": {"primal": status.primal_angle, "dual": status.dual_angle},
+        "kappa": json_number(kappa(a)),
+        "grassmann": json_number(grassmann_condition(cone, w).value),
+        "renegar": renegar_condition(cone, a).to_json(),
+    }
+    if status.tag is Feasibility.DUAL_STRICT:
+        witness = witness_flip_dual_to_primal(cone, a)
+    elif status.tag is Feasibility.PRIMAL_STRICT:
+        target = cone_subspace_angle(cone, w).witness
+        witness = witness_image(polar_decompose(a).balanced_part, target)
+    else:
+        return fields
+    fields["witness"] = (witness.frob_norm, witness.residual, witness.vector.tolist(),
+                         witness.delta.tolist())
+    return fields
+
+
+class TestViewsAgree:
+    @pytest.mark.parametrize(
+        "case", [c for c in GOLDEN_REPORTS if c["witnesses"]], ids=lambda c: c["name"]
+    )
+    def test_report_fields_equal_public_functions(self, case):
+        cone, a = parse_cone(case["cone"]), np.array(case["matrix"])
+        report = condition_report(cone, a, include_witnesses=True)
+        expected = _views(cone, a)
+        for key in ("status", "angles", "kappa", "grassmann", "renegar"):
+            assert report[key] == expected[key], key
+        if "witness" in expected:
+            entry = report["witnesses"][0]
+            got = (entry["frob_norm"], entry["residual"], entry["vector"], entry["delta"])
+            assert got == expected["witness"]
+        else:
+            assert report["witnesses"] == []
+
+    def test_flip_witness_needs_dual_strict(self):
+        with pytest.raises(NotDualFeasible):
+            analyze(Orthant(4), None, a=PRIMAL_STRICT).flip_witness()
+
+    def test_matrix_free_analysis(self):
+        analysis = analyze(Orthant(4), subspace_from_rowspan(DUAL_STRICT))
+        assert analysis.status.tag is Feasibility.DUAL_STRICT
+        with pytest.raises(ValueError):
+            analysis.renegar()
+
+
+class TestErrorTrials:
+    """lorentz:5, n=5, m=2, seed 0: multistart finds no converged run on trial 0."""
+
+    CONFIG = dict(n=5, m=2, cone_spec="lorentz:5", trials=3, seed=0)
+
+    def test_failed_trial_is_recorded(self, tmp_path, no_threads):
+        out = tmp_path / "records.jsonl"
+        records = run_experiment(ExperimentConfig(**self.CONFIG, output_path=str(out)))
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["trial_index"] for r in lines] == [0, 1, 2]
+        assert lines[0] == {"trial_index": 0, "status": "error",
+                            "error": "NumericalFailure: no multistart run converged"}
+        good = [r for r in records if r.status != "error"]
+        assert good, "expected at least one trial to succeed"
+        cone = parse_cone(self.CONFIG["cone_spec"])
+        for record in good:
+            index = record.trial_index
+            a = gaussian_matrix(trial_stream(0, index), 2, 5)
+            ren = renegar_condition(cone, a, seed=index)
+            assert record.status == classify_feasibility(
+                cone, subspace_from_rowspan(a), seed=index).tag.value
+            assert record.grassmann == grassmann_condition(
+                cone, subspace_from_rowspan(a), seed=index).value
+            assert record.kappa == kappa(a)
+            assert (record.renegar_kind, (record.renegar_lower, record.renegar_upper)) == (
+                ren.kind, ren.bounds())
+
+    def test_cli_writes_records_and_exits_two(self, capsys, tmp_path, no_threads):
+        out = tmp_path / "f.jsonl"
+        cfg = self.CONFIG
+        code = main(["experiment", "--cone", cfg["cone_spec"], "--n", str(cfg["n"]),
+                     "--m", str(cfg["m"]), "--trials", str(cfg["trials"]),
+                     "--seed", str(cfg["seed"]), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "trials=3" in captured.out and "error=" in captured.out
+        assert "sandwich_failures=0" in captured.out
+        assert len(out.read_text().splitlines()) == 3

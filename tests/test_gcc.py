@@ -133,6 +133,29 @@ class TestGccCondition:
             gcc_condition(a).value, rel=1e-12
         )
 
+    def test_nearly_right_angle_cap(self):
+        # The minimal cap's support (columns 1, 2, 3, 5) has a Gram matrix
+        # with eigenvalue ratio 4.6e-11; skipping it returned a radius
+        # above pi/2 and a GCC of 707, below the Cheung-Cucker lower bound.
+        a = np.array([
+            [-0.8195813093821286, -1.4733805891871206, 1.0249488750131344, -1.2077504835822739,
+             0.17003964369253763, 2.043013804573206, 0.3581553471209221, -1.3307963962246911],
+            [0.6141884283307676, 0.626906016733977, 1.5183692939749556, 0.37862650311049456,
+             -0.12546919415740312, -0.6867797669965827, -0.13676246651778917, 1.2903800924735687],
+            [0.9521866220657321, -1.0598844271019712, -0.0824140049874961, -0.05486012312854377,
+             0.7762663329365441, 0.18267071883904026, 0.5494201685348226, -0.971552942745451],
+            [1.3245497693513595, 0.7813034091156821, 1.5698814928128237, -0.6380226453535517,
+             -0.9817982647929626, 0.9239348809623633, -0.331062372247817, 1.5691077920728391],
+        ])
+        cap = smallest_enclosing_cap((a / np.linalg.norm(a, axis=0)).T)
+        assert cap.radius < math.pi / 2.0
+        assert cap.support == (1, 2, 3, 5)
+        gcc = gcc_condition(a).value
+        assert gcc == pytest.approx(1.0 / 7.37023e-6, rel=1e-4)
+        grassmann = grassmann_condition(Orthant(8), subspace_from_rowspan(a)).value
+        col_min = float(np.linalg.norm(a, axis=0).min())
+        assert gcc >= (col_min / np.linalg.norm(a, 2)) * grassmann
+
     def test_right_angle_cap_is_infinite(self):
         a = np.array([[1.0, -1.0], [1.0, 1.0]])  # antipodal after normalizing? no: orthogonal pair
         # columns (1,1)/sqrt2 and (-1,1)/sqrt2 are orthogonal: radius pi/4.
