@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import (Cone, ConeAngleResult, Feasibility, FeasibilityStatus, _stream,
-                    cone_subspace_angle, dual_cone, extremize_quadratic_over_cone)
+from .cones import (Cone, ConeAngleResult, Feasibility, FeasibilityStatus, _stream, dual_cone,
+                    extremize_quadratic_over_cone, primal_dual_angles)
 from .errors import (DimensionError, NotBalanced, NotDualFeasible, NotPrimalFeasible,
                      XInComplement, ZeroVector)
-from .grassmann import Subspace, angle_point_subspace, complement, subspace_from_rowspan
+from .grassmann import Subspace, angle_point_subspace, subspace_from_rowspan
 from .linalg import RANK_TOLERANCE, is_balanced, kappa, require_matrix
 
 # Below this relative size, a minimal flipping perturbation counts as zero
@@ -196,10 +196,7 @@ def analyze(cone: Cone, w: Subspace | None, seed: int = 0, a=None) -> Analysis:
     arr = None if a is None else require_matrix(a)
     if w is None:
         w = subspace_from_rowspan(arr)
-    if cone.dim != w.ambient_dim:
-        raise DimensionError(f"cone dimension {cone.dim} != ambient {w.ambient_dim}")
-    primal = cone_subspace_angle(cone, w, seed=seed)
-    dual = cone_subspace_angle(dual_cone(cone), complement(w), seed=seed)
+    primal, dual = primal_dual_angles(cone, w, seed=seed)
     return Analysis(cone=cone, w=w, seed=seed, a=arr, primal=primal, dual=dual)
 
 

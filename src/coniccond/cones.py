@@ -28,7 +28,7 @@ from .errors import (
     InconsistentClassification,
     NumericalFailure,
 )
-from .grassmann import Subspace
+from .grassmann import Subspace, complement
 
 # Orthant enumeration is exact but exponential; beyond this many
 # coordinates the multistart path takes over.
@@ -63,10 +63,9 @@ class Cone(abc.ABC):
     def project(self, x: np.ndarray) -> np.ndarray:
         """Euclidean projection onto the cone."""
 
+    @abc.abstractmethod
     def project_many(self, x: np.ndarray) -> np.ndarray:
         """Row-wise Euclidean projection of a (count, dim) array."""
-        x = np.asarray(x, dtype=float)
-        return np.stack([self.project(row) for row in x])
 
     @abc.abstractmethod
     def dual(self) -> "Cone":
@@ -195,16 +194,13 @@ class Lorentz(Cone):
         return pts / np.linalg.norm(pts, axis=1)[:, None]
 
     def extreme_unit_rays(self, limit: int) -> np.ndarray:
-        rays = []
-        for i in range(self._n - 1):
-            for s in (1.0, -1.0):
-                ray = np.zeros(self._n)
-                ray[i] = s / np.sqrt(2.0)
-                ray[-1] = 1.0 / np.sqrt(2.0)
-                rays.append(ray)
-                if len(rays) >= limit:
-                    return np.array(rays)
-        return np.array(rays) if rays else np.zeros((0, self._n))
+        # (e_last + e_i) / sqrt(2), then (e_last - e_i) / sqrt(2), for i = 1, 2, ...
+        rays = np.zeros((2 * (self._n - 1), self._n))
+        head = np.arange(self._n - 1)
+        rays[2 * head, head] = 1.0 / np.sqrt(2.0)
+        rays[2 * head + 1, head] = -1.0 / np.sqrt(2.0)
+        rays[:, -1] = 1.0 / np.sqrt(2.0)
+        return rays[:limit]
 
     def spec(self) -> str:
         return f"lorentz:{self._n}"
@@ -380,7 +376,6 @@ class QuadraticExtremum:
     value: float
     point: np.ndarray
     method: str                 # "exact" | "multistart"
-    support: tuple[int, ...] | None
     converged_values: np.ndarray  # best first; single entry for exact
 
 
@@ -393,34 +388,37 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool):
     """
     n = m_mat.shape[0]
     sym = 0.5 * (m_mat + m_mat.T)
-    candidates: list[tuple[float, tuple[int, ...], np.ndarray]] = []
+    # Accepted (values, supports, vectors), one entry per support size; a
+    # 1x1 eigenvector can always be signed, so size 1 accepts every row.
+    accepted_by_size = []
     for size in range(1, n + 1):
         combos = np.array(list(itertools.combinations(range(n), size)))
         subs = sym[combos[:, :, None], combos[:, None, :]]
         eigvals, eigvecs = np.linalg.eigh(subs)
         col = size - 1 if maximize else 0
-        lams = eigvals[:, col]
         vecs = eigvecs[:, :, col]
         lead = np.argmax(np.abs(vecs), axis=1)
-        lead_sign = np.take_along_axis(vecs, lead[:, None], axis=1)[:, 0]
+        lead_sign = vecs[np.arange(len(combos)), lead]
         vecs = vecs * np.where(lead_sign < 0.0, -1.0, 1.0)[:, None]
         accepted = vecs.min(axis=1) >= -SIGNABLE_TOL
-        for idx in np.flatnonzero(accepted):
-            support = tuple(int(i) for i in combos[idx])
-            candidates.append((float(lams[idx]), support, vecs[idx]))
-    assert candidates
+        accepted_by_size.append((eigvals[accepted, col], combos[accepted], vecs[accepted]))
     # The value is the plain extremum; the lexicographic tie-break picks
     # only the witness so it cannot degrade the value (near 0 and 1 even
     # 1e-13 of eigenvalue slack amplifies into angle errors above the
     # classification threshold).
-    values = [c[0] for c in candidates]
-    best_val = max(values) if maximize else min(values)
-    tied = [c for c in candidates if abs(c[0] - best_val) <= TIE_TOL]
-    _, best_support, best_vec = min(tied, key=lambda c: c[1])
+    values = np.concatenate([lams for lams, _, _ in accepted_by_size])
+    best_val = float(values.max() if maximize else values.min())
+    # Supports come in lexicographic order, so each size's first tie is
+    # its smallest; the witness is the smallest of those.
+    tied = []
+    for lams, supports, vecs in accepted_by_size:
+        first = np.flatnonzero(np.abs(lams - best_val) <= TIE_TOL)[:1]
+        tied.extend((tuple(supports[i].tolist()), vecs[i]) for i in first)
+    best_support, best_vec = min(tied, key=lambda c: c[0])
     point = np.zeros(n)
     point[list(best_support)] = np.maximum(best_vec, 0.0)
     point /= np.linalg.norm(point)
-    return best_val, point, best_support
+    return best_val, point
 
 
 def _projected_extremize(m_mat, cone, x0, maximize, max_iter=500, grad_tol=1e-12):
@@ -479,32 +477,25 @@ def extremize_quadratic_over_cone(
     cone: Cone,
     maximize: bool,
     seed: int = 0,
-    exact_enum_limit: int = EXACT_ENUM_LIMIT,
     multistart_count: int = MULTISTART_COUNT,
 ) -> QuadraticExtremum:
     """Extremize x^T M x over the unit vectors of a cone.
 
     Exact support enumeration when the cone is sign-isomorphic to an
-    orthant of dimension <= exact_enum_limit, multistart otherwise.
+    orthant of dimension <= EXACT_ENUM_LIMIT, multistart otherwise.
     """
     m_mat = np.asarray(m_mat, dtype=float)
     if m_mat.shape != (cone.dim, cone.dim):
         raise DimensionError(f"matrix shape {m_mat.shape} != cone dimension {cone.dim}")
     signs = _orthant_signs(cone)
-    if signs is not None and cone.dim <= exact_enum_limit:
+    if signs is not None and cone.dim <= EXACT_ENUM_LIMIT:
         conj = signs[:, None] * m_mat * signs[None, :]
-        val, y, support = _enumerate_orthant_extremum(conj, maximize)
+        val, y = _enumerate_orthant_extremum(conj, maximize)
         return QuadraticExtremum(
-            value=val,
-            point=signs * y,
-            method="exact",
-            support=support,
-            converged_values=np.array([val]),
+            value=val, point=signs * y, method="exact", converged_values=np.array([val])
         )
     val, x, values = _multistart_extremum(m_mat, cone, maximize, seed, multistart_count)
-    return QuadraticExtremum(
-        value=val, point=x, method="multistart", support=None, converged_values=values
-    )
+    return QuadraticExtremum(value=val, point=x, method="multistart", converged_values=values)
 
 
 @dataclass(frozen=True)
@@ -517,13 +508,7 @@ class ConeAngleResult:
     certified_gap: float         # bound on underestimation of cos(angle)
 
 
-def cone_subspace_angle(
-    cone: Cone,
-    w: Subspace,
-    seed: int = 0,
-    exact_enum_limit: int = EXACT_ENUM_LIMIT,
-    multistart_count: int = MULTISTART_COUNT,
-) -> ConeAngleResult:
+def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0) -> ConeAngleResult:
     """Angle(C, W) = arccos of the max of ||proj_W x|| over unit x in C.
 
     Zero when the subspace meets the cone nontrivially.  The returned
@@ -532,14 +517,7 @@ def cone_subspace_angle(
     """
     if cone.dim != w.ambient_dim:
         raise DimensionError(f"cone dimension {cone.dim} != ambient {w.ambient_dim}")
-    ext = extremize_quadratic_over_cone(
-        w.projector(),
-        cone,
-        maximize=True,
-        seed=seed,
-        exact_enum_limit=exact_enum_limit,
-        multistart_count=multistart_count,
-    )
+    ext = extremize_quadratic_over_cone(w.projector(), cone, maximize=True, seed=seed)
     lam = min(max(ext.value, 0.0), 1.0)
     angle = float(np.arctan2(np.sqrt(1.0 - lam), np.sqrt(lam)))
     if ext.method == "exact":
@@ -549,6 +527,16 @@ def cone_subspace_angle(
         k = min(8, cosines.size)
         gap = float(cosines[0] - cosines[k - 1])
     return ConeAngleResult(angle=angle, witness=ext.point, method=ext.method, certified_gap=gap)
+
+
+def primal_dual_angles(cone: Cone, w: Subspace,
+                       seed: int = 0) -> tuple[ConeAngleResult, ConeAngleResult]:
+    """angle(C, W) and angle(dual C, W_perp), solved once each.
+
+    Every feasibility and condition quantity of W derives from this pair.
+    """
+    primal = cone_subspace_angle(cone, w, seed=seed)
+    return primal, cone_subspace_angle(dual_cone(cone), complement(w), seed=seed)
 
 
 class Feasibility(enum.Enum):
@@ -570,10 +558,9 @@ class FeasibilityStatus:
     dual_angle: float
 
     @staticmethod
-    def from_angles(primal_angle: float, dual_angle: float,
-                    angle_threshold: float = ANGLE_THRESHOLD) -> "FeasibilityStatus":
+    def from_angles(primal_angle: float, dual_angle: float) -> "FeasibilityStatus":
         """The status the two angles imply; see classify_feasibility."""
-        p_strict, d_strict = primal_angle > angle_threshold, dual_angle > angle_threshold
+        p_strict, d_strict = primal_angle > ANGLE_THRESHOLD, dual_angle > ANGLE_THRESHOLD
         if p_strict and d_strict:
             raise InconsistentClassification(f"both angles exceed the threshold: primal "
                                              f"{primal_angle:.3e}, dual {dual_angle:.3e}")
@@ -582,17 +569,15 @@ class FeasibilityStatus:
         return FeasibilityStatus(tag, primal_angle, dual_angle)
 
 
-def classify_feasibility(cone: Cone, w: Subspace, angle_threshold: float = ANGLE_THRESHOLD,
-                         seed: int = 0) -> FeasibilityStatus:
+def classify_feasibility(cone: Cone, w: Subspace, seed: int = 0) -> FeasibilityStatus:
     """Classify W as strictly primal feasible, strictly dual feasible, or ill posed.
 
-    Strict primal feasibility means W meets the cone only at the origin;
-    strict dual feasibility means W meets the cone's interior; ill posed
-    means W touches the cone.  Both angles above the threshold violate
-    the theorem of alternatives and raise InconsistentClassification.
-    A view of ``condition.analyze``, which solves each angle once.
+    Strict primal feasibility means W meets the cone only at the origin,
+    so angle(C, W) exceeds ANGLE_THRESHOLD; strict dual feasibility means
+    W meets the cone's interior, so angle(dual C, W_perp) exceeds it; ill
+    posed means neither angle does and W touches the cone.  Both angles
+    above the threshold violate the theorem of alternatives and raise
+    InconsistentClassification.
     """
-    from .condition import analyze  # condition builds on this module
-
-    analysis = analyze(cone, w, seed=seed)
-    return FeasibilityStatus.from_angles(analysis.primal.angle, analysis.dual.angle, angle_threshold)
+    primal, dual = primal_dual_angles(cone, w, seed=seed)
+    return FeasibilityStatus.from_angles(primal.angle, dual.angle)

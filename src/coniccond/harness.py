@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condition import analyze, iteration_bound_estimate, json_number, witness_image
-from .cones import Cone, Feasibility, Orthant, _stream, classify_feasibility, parse_cone
+from .cones import (ANGLE_THRESHOLD, Cone, Feasibility, Orthant, _stream, classify_feasibility,
+                    cone_subspace_angle, dual_cone, parse_cone)
 from .errors import DimensionError, InconsistentClassification, NumericalFailure, RankDeficient
 from .gcc import gcc_condition
-from .grassmann import Subspace, subspace_from_rowspan
+from .grassmann import Subspace, complement, subspace_from_rowspan
 from .linalg import kappa, polar_decompose, require_matrix
 
 THREADS_ENV = "CONIC_COND_THREADS"
@@ -116,9 +117,6 @@ def _make_flip_checker(cone: Cone, tag0, seed: int):
     Leaving a strict class is decided by that class's own angle alone,
     which halves the classification work per probe.
     """
-    from .cones import ANGLE_THRESHOLD, cone_subspace_angle, dual_cone
-    from .grassmann import complement
-
     dual = dual_cone(cone)
 
     def flips(perturbed: np.ndarray) -> bool:

@@ -74,11 +74,6 @@ def svd_factorize(a) -> SvdFactorization:
     return SvdFactorization(u, s, vh.T)
 
 
-def singular_values(a) -> np.ndarray:
-    arr = require_matrix(a)
-    return np.linalg.svd(arr, compute_uv=False)
-
-
 def kappa(a) -> float:
     """Matrix condition number sigma_1 / sigma_m, inf when rank deficient."""
     arr = require_matrix(a)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import coniccond.cones
 from coniccond import (
     ConeSpecError,
     DimensionError,
@@ -18,6 +19,7 @@ from coniccond import (
     cone_membership,
     cone_subspace_angle,
     dual_cone,
+    extremize_quadratic_over_cone,
     grassmann_distances,
     parse_cone,
     subspace_from_rowspan,
@@ -138,21 +140,24 @@ class TestConeSubspaceAngle:
     def test_coordinate_plane(self):
         assert cone_subspace_angle(Orthant(3), span([1, 0, 0], [0, 1, 0])).angle <= 1e-7
 
-    def test_exact_vs_multistart(self):
+    def test_exact_vs_multistart(self, monkeypatch):
         rng = stream(44)
         for trial in range(15):
             n = 4 + trial % 7  # up to 10
             w = subspace_from_rowspan(random_matrix(rng, 2, n))
             exact = cone_subspace_angle(Orthant(n), w)
-            multi = cone_subspace_angle(Orthant(n), w, exact_enum_limit=0, seed=trial)
+            with monkeypatch.context() as patch:
+                patch.setattr(coniccond.cones, "EXACT_ENUM_LIMIT", 0)
+                multi = cone_subspace_angle(Orthant(n), w, seed=trial)
             assert math.cos(multi.angle) == pytest.approx(math.cos(exact.angle), abs=1e-6)
             assert multi.method == "multistart"
 
-    def test_multistart_deterministic(self):
+    def test_multistart_deterministic(self, monkeypatch):
+        monkeypatch.setattr(coniccond.cones, "EXACT_ENUM_LIMIT", 0)
         rng = stream(45)
         w = subspace_from_rowspan(random_matrix(rng, 2, 5))
-        first = cone_subspace_angle(Orthant(5), w, exact_enum_limit=0, seed=9)
-        second = cone_subspace_angle(Orthant(5), w, exact_enum_limit=0, seed=9)
+        first = cone_subspace_angle(Orthant(5), w, seed=9)
+        second = cone_subspace_angle(Orthant(5), w, seed=9)
         assert first.angle == second.angle
         np.testing.assert_array_equal(first.witness, second.witness)
 
@@ -170,6 +175,18 @@ class TestConeSubspaceAngle:
         for perm in itertools.islice(itertools.permutations(range(5)), 8):
             permuted = Subspace(w.basis[:, list(perm)])
             assert cone_subspace_angle(Orthant(5), permuted).angle == pytest.approx(base, abs=1e-9)
+
+
+class TestExtremumRoute:
+    def test_ties_across_sizes_pick_smallest_support(self):
+        # Every support of every size attains 1; the witness is e_1.
+        ext = extremize_quadratic_over_cone(np.eye(4), Orthant(4), True)
+        assert ext.method == "exact" and ext.value == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_array_equal(ext.point, [1.0, 0.0, 0.0, 0.0])
+
+    def test_orthant_past_enum_limit_takes_multistart(self):
+        ext = extremize_quadratic_over_cone(np.eye(17), Orthant(17), True)
+        assert ext.method == "multistart"
 
 
 def brute_dual_angle_for_line_2d(theta_line, grid=200_000):
@@ -257,3 +274,9 @@ class TestSampling:
         assert len(rays) >= 1
         np.testing.assert_allclose(np.linalg.norm(rays, axis=1), 1.0, atol=1e-12)
         assert all(cone.contains(r, 1e-9) for r in rays)
+
+    @pytest.mark.parametrize("cone", [Orthant(3), Lorentz(3), Negated(Lorentz(3)),
+                                      Product([Lorentz(3), Orthant(2)])])
+    @pytest.mark.parametrize("limit", [0, 1])
+    def test_extreme_rays_respect_limit(self, cone, limit):
+        assert cone.extreme_unit_rays(limit).shape == (limit, cone.dim)
