@@ -187,16 +187,21 @@ class Analysis:
         return _witness(delta, "flips_to_primal", p, np.linalg.norm((self.a + delta) @ p))
 
 
-def analyze(cone: Cone, w: Subspace | None, seed: int = 0, a=None) -> Analysis:
+def analyze(cone: Cone, w: Subspace | None, seed: int = 0, a=None,
+            exact_angles: bool = True) -> Analysis:
     """Solve the primal and the dual cone-subspace angle of W, once each.
 
     W is the row span of ``a`` when ``w`` is None.  The Renegar condition
     and the flip witness need ``a``, whose row span must then be W.
+    With ``exact_angles=False`` the angle of a side that touches the cone
+    is only certified to be at most ANGLE_THRESHOLD (see
+    primal_dual_angles); the classification, the Grassmann and Renegar
+    conditions and the flip witness do not change.
     """
     arr = None if a is None else require_matrix(a)
     if w is None:
         w = subspace_from_rowspan(arr)
-    primal, dual = primal_dual_angles(cone, w, seed=seed)
+    primal, dual = primal_dual_angles(cone, w, seed=seed, exact_angles=exact_angles)
     return Analysis(cone=cone, w=w, seed=seed, a=arr, primal=primal, dual=dual)
 
 

@@ -379,19 +379,32 @@ class QuadraticExtremum:
     converged_values: np.ndarray  # best first; single entry for exact
 
 
-def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool):
+def _angle_of_cos2(lam: float) -> float:
+    """arccos(sqrt(lam)), lam clipped to [0, 1]; accurate near both ends."""
+    lam = min(max(lam, 0.0), 1.0)
+    return float(np.arctan2(np.sqrt(1.0 - lam), np.sqrt(lam)))
+
+
+def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=None):
     """Exact extremum of y^T M y over unit y >= 0 by support enumeration.
 
     The extremizer restricted to its support F is an eigenvector of
     M[F, F]; a candidate is accepted when that eigenvector can be signed
     nonnegative.  Ties are broken by lexicographically smallest support.
+    Sizes are visited from n down to 1; neither the value nor the
+    tie-break depends on that order.
+
+    With ``stop_angle`` (maximizing a projector, whose values are squared
+    cosines) the enumeration returns after the first size whose best
+    accepted value is at angle ``stop_angle`` or below: the best
+    candidate of the sizes visited so far, not the maximum.
     """
     n = m_mat.shape[0]
     sym = 0.5 * (m_mat + m_mat.T)
     # Accepted (values, supports, vectors), one entry per support size; a
     # 1x1 eigenvector can always be signed, so size 1 accepts every row.
     accepted_by_size = []
-    for size in range(1, n + 1):
+    for size in range(n, 0, -1):
         combos = np.array(list(itertools.combinations(range(n), size)))
         subs = sym[combos[:, :, None], combos[:, None, :]]
         eigvals, eigvecs = np.linalg.eigh(subs)
@@ -401,7 +414,10 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool):
         lead_sign = vecs[np.arange(len(combos)), lead]
         vecs = vecs * np.where(lead_sign < 0.0, -1.0, 1.0)[:, None]
         accepted = vecs.min(axis=1) >= -SIGNABLE_TOL
-        accepted_by_size.append((eigvals[accepted, col], combos[accepted], vecs[accepted]))
+        lams = eigvals[accepted, col]
+        accepted_by_size.append((lams, combos[accepted], vecs[accepted]))
+        if stop_angle is not None and lams.size and _angle_of_cos2(float(lams.max())) <= stop_angle:
+            break
     # The value is the plain extremum; the lexicographic tie-break picks
     # only the witness so it cannot degrade the value (near 0 and 1 even
     # 1e-13 of eigenvalue slack amplifies into angle errors above the
@@ -478,11 +494,15 @@ def extremize_quadratic_over_cone(
     maximize: bool,
     seed: int = 0,
     multistart_count: int = MULTISTART_COUNT,
+    *,
+    _stop_angle: float | None = None,
 ) -> QuadraticExtremum:
     """Extremize x^T M x over the unit vectors of a cone.
 
     Exact support enumeration when the cone is sign-isomorphic to an
     orthant of dimension <= EXACT_ENUM_LIMIT, multistart otherwise.
+    ``_stop_angle`` lets the enumeration stop early; see
+    cone_subspace_angle.
     """
     m_mat = np.asarray(m_mat, dtype=float)
     if m_mat.shape != (cone.dim, cone.dim):
@@ -490,7 +510,7 @@ def extremize_quadratic_over_cone(
     signs = _orthant_signs(cone)
     if signs is not None and cone.dim <= EXACT_ENUM_LIMIT:
         conj = signs[:, None] * m_mat * signs[None, :]
-        val, y = _enumerate_orthant_extremum(conj, maximize)
+        val, y = _enumerate_orthant_extremum(conj, maximize, _stop_angle)
         return QuadraticExtremum(
             value=val, point=signs * y, method="exact", converged_values=np.array([val])
         )
@@ -500,27 +520,46 @@ def extremize_quadratic_over_cone(
 
 @dataclass(frozen=True)
 class ConeAngleResult:
-    """The minimal angle between nonzero cone points and a subspace."""
+    """The minimal angle between nonzero cone points and a subspace.
+
+    method is "exact" (support enumeration), "multistart" (gap: spread of
+    the best converged cosines) or "certificate".  A certificate only
+    shows that the angle is at most ANGLE_THRESHOLD: angle is that of the
+    witness, an upper bound on the minimal angle, and the gap
+    1 - cos(angle) bounds how far cos(angle) may lie below the true
+    cosine.
+    """
 
     angle: float
     witness: np.ndarray          # unit vector in the cone attaining the angle
-    method: str                  # "exact" | "multistart"
+    method: str                  # "exact" | "multistart" | "certificate"
     certified_gap: float         # bound on underestimation of cos(angle)
 
 
-def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0) -> ConeAngleResult:
+def _certificate(angle: float, witness: np.ndarray) -> ConeAngleResult:
+    return ConeAngleResult(angle=angle, witness=witness, method="certificate",
+                           certified_gap=float(1.0 - np.cos(angle)))
+
+
+def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0, *,
+                        _stop_angle: float | None = None) -> ConeAngleResult:
     """Angle(C, W) = arccos of the max of ||proj_W x|| over unit x in C.
 
     Zero when the subspace meets the cone nontrivially.  The returned
     gap is 0 for the exact path and the spread of the best converged
-    cosines for the multistart path.
+    cosines for the multistart path.  With ``_stop_angle`` (set by
+    primal_dual_angles) the exact path returns the first point it finds
+    at that angle or below, as a "certificate"; an angle above it is
+    exact, bit for bit.
     """
     if cone.dim != w.ambient_dim:
         raise DimensionError(f"cone dimension {cone.dim} != ambient {w.ambient_dim}")
-    ext = extremize_quadratic_over_cone(w.projector(), cone, maximize=True, seed=seed)
-    lam = min(max(ext.value, 0.0), 1.0)
-    angle = float(np.arctan2(np.sqrt(1.0 - lam), np.sqrt(lam)))
+    ext = extremize_quadratic_over_cone(w.projector(), cone, maximize=True, seed=seed,
+                                        _stop_angle=_stop_angle)
+    angle = _angle_of_cos2(ext.value)
     if ext.method == "exact":
+        if _stop_angle is not None and angle <= _stop_angle:
+            return _certificate(angle, ext.point)
         gap = 0.0
     else:
         cosines = np.sqrt(np.clip(ext.converged_values, 0.0, 1.0))
@@ -529,14 +568,47 @@ def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0) -> ConeAngleResu
     return ConeAngleResult(angle=angle, witness=ext.point, method=ext.method, certified_gap=gap)
 
 
-def primal_dual_angles(cone: Cone, w: Subspace,
-                       seed: int = 0) -> tuple[ConeAngleResult, ConeAngleResult]:
+def _certify_dual_touches(dual: Cone, w: Subspace, perp: Subspace,
+                          y: np.ndarray) -> ConeAngleResult | None:
+    """angle(dual C, W_perp) <= ANGLE_THRESHOLD shown from the primal witness, or None.
+
+    y maximizes ||P_W x|| over unit x in C, at cos^2 = lam < 1.  By the
+    KKT conditions P_W y - lam y lies in the dual cone, and for cones
+    whose dual is -C so does -(1 - lam) y; their sum P_W y - y lies in
+    W_perp as well.  Its projection onto the dual cone is the
+    certificate, accepted only when its angle to W_perp is checked to be
+    at most the threshold.
+    """
+    v = dual.project(w.project(y) - y)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return None
+    v = v / norm
+    angle = _angle_of_cos2(float(v @ perp.projector() @ v))
+    return _certificate(angle, v) if angle <= ANGLE_THRESHOLD else None
+
+
+def primal_dual_angles(cone: Cone, w: Subspace, seed: int = 0,
+                       exact_angles: bool = True) -> tuple[ConeAngleResult, ConeAngleResult]:
     """angle(C, W) and angle(dual C, W_perp), solved once each.
 
     Every feasibility and condition quantity of W derives from this pair.
+    With ``exact_angles=False`` only an angle above ANGLE_THRESHOLD is
+    solved exactly; the angle of a side that touches the cone is a
+    "certificate" that it is at most the threshold: a point where the
+    enumeration stopped, or, when the primal angle is strict and exact,
+    a dual point built from its witness.  The classification is the same
+    either way.  Multistart results are never stopped or certified.
     """
-    primal = cone_subspace_angle(cone, w, seed=seed)
-    return primal, cone_subspace_angle(dual_cone(cone), complement(w), seed=seed)
+    stop = None if exact_angles else ANGLE_THRESHOLD
+    primal = cone_subspace_angle(cone, w, seed=seed, _stop_angle=stop)
+    dual, perp = dual_cone(cone), complement(w)
+    # With the stop on, an "exact" primal angle is a strict one.
+    if stop is not None and primal.method == "exact":
+        certified = _certify_dual_touches(dual, w, perp, primal.witness)
+        if certified is not None:
+            return primal, certified
+    return primal, cone_subspace_angle(dual, perp, seed=seed, _stop_angle=stop)
 
 
 class Feasibility(enum.Enum):

@@ -257,7 +257,8 @@ def _run_trial(cfg: ExperimentConfig, cone: Cone, index: int) -> TrialRecord:
     """One trial; a numerical failure is recorded as an error, not raised."""
     a = gaussian_matrix(trial_stream(cfg.seed, index), cfg.m, cfg.n)
     try:
-        analysis = analyze(cone, None, seed=cfg.seed + index, a=a)
+        # A record reads the tag and the strict angle only.
+        analysis = analyze(cone, None, seed=cfg.seed + index, a=a, exact_angles=False)
         status = analysis.status
         g = analysis.grassmann.value
         ren = analysis.renegar()

@@ -1,0 +1,159 @@
+"""Certified classification: exact strict angles, certified touching ones."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import coniccond.cones
+from coniccond import (
+    InconsistentClassification,
+    Lorentz,
+    Negated,
+    Orthant,
+    Product,
+    analyze,
+    classify_feasibility,
+    complement,
+    dual_cone,
+    subspace_from_rowspan,
+)
+from coniccond.cones import (ANGLE_THRESHOLD, _angle_of_cos2, _enumerate_orthant_extremum,
+                             _orthant_signs, primal_dual_angles)
+
+
+def _orthant_like(blocks):
+    """Product of orthants (True) and negated orthants (False) of the given sizes."""
+    factors = [Orthant(k) if positive else Negated(Orthant(k)) for positive, k in blocks]
+    return factors[0] if len(factors) == 1 else Product(factors)
+
+
+@st.composite
+def instances(draw):
+    """An orthant-like cone with n <= 8 and a subspace W, often near the ill-posed set.
+
+    Near-ill-posed W contain a point on the cone's boundary (a face point
+    with at least one zero coordinate), moved off by eps.
+    """
+    blocks = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 4)), min_size=1, max_size=3)
+                  .filter(lambda b: 2 <= sum(k for _, k in b) <= 8))
+    cone = _orthant_like(blocks)
+    n = cone.dim
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((m, n))
+    eps = draw(st.sampled_from([None, 0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3]))
+    if eps is not None:
+        face = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.6)
+        zero, nonzero = rng.permutation(n)[:2]
+        face[zero], face[nonzero] = 0.0, 1.0
+        a[0] = _orthant_signs(cone) * face + eps * rng.standard_normal(n)
+    return cone, subspace_from_rowspan(a)
+
+
+class TestCertifiedAngles:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(instances())
+    def test_certified_pair_matches_exact_pair(self, instance):
+        cone, w = instance
+        try:
+            tag = classify_feasibility(cone, w).tag
+        except InconsistentClassification:
+            with pytest.raises(InconsistentClassification):
+                analyze(cone, w, exact_angles=False).status
+            return
+        exact = primal_dual_angles(cone, w)
+        certified = primal_dual_angles(cone, w, exact_angles=False)
+        assert analyze(cone, w, exact_angles=False).status.tag is tag
+        for side, full, cert, side_cone in zip(("primal", "dual"), exact, certified,
+                                               (cone, dual_cone(cone))):
+            if full.angle > ANGLE_THRESHOLD:
+                # The strict side is the full enumeration, bit for bit.
+                assert cert.method == "exact", side
+                assert cert.angle == full.angle, side
+                assert np.array_equal(cert.witness, full.witness), side
+            else:
+                assert cert.method == "certificate", side
+                assert cert.angle <= ANGLE_THRESHOLD, side
+                gap = 1.0 - math.cos(cert.angle)
+                assert cert.certified_gap == pytest.approx(gap, rel=1e-9), side
+                assert side_cone.contains(cert.witness, tol=0.0), side
+                assert np.linalg.norm(cert.witness) == pytest.approx(1.0, abs=1e-12), side
+
+
+class TestCertificatePaths:
+    def test_primal_strict_certifies_dual_from_witness(self):
+        # Two generic directions of R^6 miss the orthant: the dual side
+        # comes from the KKT point, not from a second enumeration.
+        w = subspace_from_rowspan(np.array([[1.0, -2.0, 0.5, 0.0, 1.0, -1.0],
+                                            [0.0, 1.0, -1.5, -0.4, 0.3, 0.2]]))
+        primal, dual = primal_dual_angles(Orthant(6), w, exact_angles=False)
+        assert primal.method == "exact" and primal.angle > ANGLE_THRESHOLD
+        assert dual.method == "certificate" and dual.angle <= ANGLE_THRESHOLD
+        y = primal.witness
+        expected = np.minimum(w.project(y) - y, 0.0)
+        assert np.allclose(dual.witness, expected / np.linalg.norm(expected), atol=1e-15)
+        assert complement(w).contains(dual.witness, tol=ANGLE_THRESHOLD)
+
+    def test_failed_certificate_solves_dual(self, monkeypatch):
+        monkeypatch.setattr(coniccond.cones, "_certify_dual_touches", lambda *args: None)
+        w = subspace_from_rowspan(np.array([[1.0, -2.0, 0.5, 0.0], [0.0, 1.0, -1.5, -0.4]]))
+        primal, dual = primal_dual_angles(Orthant(4), w, exact_angles=False)
+        assert primal.method == "exact" and primal.angle > ANGLE_THRESHOLD
+        # The dual enumeration itself stops at the first touching point.
+        assert dual.method == "certificate" and dual.angle <= ANGLE_THRESHOLD
+
+    def test_dual_strict_stops_primal(self):
+        w = subspace_from_rowspan(np.array([[1.0, 2.0, 0.5, 1.5], [0.3, -1.0, 1.2, 0.4]]))
+        primal, dual = primal_dual_angles(Orthant(4), w, exact_angles=False)
+        assert primal.method == "certificate" and primal.angle <= ANGLE_THRESHOLD
+        assert dual.method == "exact" and dual.angle > ANGLE_THRESHOLD
+
+    def test_multistart_is_never_certified(self):
+        w = subspace_from_rowspan(np.array([[1.0, 0.0, 0.0, 0.0]]))
+        for exact_angles in (True, False):
+            pair = primal_dual_angles(Lorentz(4), w, seed=2, exact_angles=exact_angles)
+            assert [r.method for r in pair] == ["multistart", "multistart"]
+
+    def test_exact_angles_default_keeps_both_exact(self):
+        w = subspace_from_rowspan(np.array([[1.0, 2.0, 0.5, 1.5], [0.3, -1.0, 1.2, 0.4]]))
+        assert [r.method for r in primal_dual_angles(Orthant(4), w)] == ["exact", "exact"]
+
+
+class TestStoppedEnumeration:
+    def test_stopped_result_is_accepted_candidate_above_stop_value(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        basis = np.linalg.qr(rng.standard_normal((8, 3)))[0].T
+        projector = basis.T @ basis
+        full_value, _ = _enumerate_orthant_extremum(projector, True)
+        stop_angle = _angle_of_cos2(full_value) + 0.3
+        original, sizes = np.linalg.eigh, []
+
+        def counted(subs):
+            sizes.append(subs.shape[-1])
+            return original(subs)
+
+        monkeypatch.setattr(coniccond.cones.np.linalg, "eigh", counted)
+        value, point = _enumerate_orthant_extremum(projector, True, stop_angle)
+        assert len(sizes) < 8, "the enumeration did not stop early"
+        assert sizes == list(range(8, 8 - len(sizes), -1))
+        # At or above the stop value, and never above the maximum.
+        assert _angle_of_cos2(value) <= stop_angle
+        assert value <= full_value
+        # An accepted candidate: a nonnegative unit eigenvector of its
+        # support's principal submatrix, with eigenvalue ``value``.
+        assert np.all(point >= 0.0) and np.linalg.norm(point) == pytest.approx(1.0)
+        support = np.flatnonzero(point)
+        sub = projector[np.ix_(support, support)]
+        assert np.allclose(sub @ point[support], value * point[support], atol=1e-12)
+
+    def test_unreached_stop_is_full_enumeration(self):
+        rng = np.random.default_rng(5)
+        basis = np.linalg.qr(rng.standard_normal((7, 2)))[0].T
+        projector = basis.T @ basis
+        full_value, full_point = _enumerate_orthant_extremum(projector, True)
+        assert _angle_of_cos2(full_value) > ANGLE_THRESHOLD
+        value, point = _enumerate_orthant_extremum(projector, True, ANGLE_THRESHOLD)
+        assert value == full_value and np.array_equal(point, full_point)
