@@ -24,11 +24,8 @@ from .cones import (Cone, ConeAngleResult, Feasibility, FeasibilityStatus, _stre
 from .errors import (DimensionError, NotBalanced, NotDualFeasible, NotPrimalFeasible,
                      XInComplement, ZeroVector)
 from .grassmann import Subspace, angle_point_subspace, subspace_from_rowspan
-from .linalg import RANK_TOLERANCE, is_balanced, kappa, require_matrix
-
-# Below this relative size, a minimal flipping perturbation counts as zero
-# and the instance as ill posed.
-_ZERO_DISTANCE = 1e-12
+from .linalg import is_balanced, is_rank_deficient, kappa, require_matrix
+from .tolerances import COMPLEMENT_BAND, INCLUSION_AGREEMENT, ZERO_DISTANCE
 
 
 def json_number(x: float):
@@ -118,7 +115,7 @@ def _min_image_over_dual(cone: Cone, a: np.ndarray, seed: int):
 def _dual_route(spectral: float, minimum: tuple, prefix: str) -> ConditionValue:
     """||A|| over the dual-route minimum; infinite when that minimum vanishes."""
     dist, _, method = minimum
-    if dist <= _ZERO_DISTANCE * max(1.0, spectral):
+    if dist <= ZERO_DISTANCE * max(1.0, spectral):
         return ConditionValue.exact(math.inf, f"{prefix}ill-posed")
     return ConditionValue.exact(spectral / dist, f"{prefix}dual-route-{method}")
 
@@ -191,13 +188,16 @@ def analyze(cone: Cone, w: Subspace | None, seed: int = 0, a=None,
             exact_angles: bool = True) -> Analysis:
     """Solve the primal and the dual cone-subspace angle of W, once each.
 
-    W is the row span of ``a`` when ``w`` is None.  The Renegar condition
-    and the flip witness need ``a``, whose row span must then be W.
+    W is ``w``, or the row span of ``a`` when ``w`` is None; passing both
+    raises ValueError.  The Renegar condition and the flip witness need
+    ``a``.
     With ``exact_angles=False`` the angle of a side that touches the cone
     is only certified to be at most ANGLE_THRESHOLD (see
     primal_dual_angles); the classification, the Grassmann and Renegar
     conditions and the flip witness do not change.
     """
+    if w is not None and a is not None:
+        raise ValueError("give w or a, not both: with a, W is its row span")
     arr = None if a is None else require_matrix(a)
     if w is None:
         w = subspace_from_rowspan(arr)
@@ -246,7 +246,7 @@ def renegar_condition(cone: Cone, a, seed: int = 0) -> ConditionValue:
     sigma = np.linalg.svd(arr, compute_uv=False)
     if sigma[0] == 0.0:
         raise ZeroVector("the condition of the zero matrix is undefined")
-    if sigma[-1] <= RANK_TOLERANCE * sigma[0]:
+    if is_rank_deficient(sigma):
         # Rank deficiency makes A dual feasible and leaves no row span to
         # analyze; the dual-route minimum still measures the distance to
         # the primal feasible set.
@@ -266,7 +266,7 @@ def _unit_vector(x, dim: int) -> tuple[np.ndarray, float]:
 
 def _require_balanced(b) -> np.ndarray:
     arr = require_matrix(b)
-    if not is_balanced(arr, tol=1e-9):
+    if not is_balanced(arr):
         raise NotBalanced("matrix rows must be orthonormal")
     return arr
 
@@ -283,7 +283,7 @@ def witness_image(b, x) -> PerturbationWitness:
     arr = _require_balanced(b)
     unit, norm = _unit_vector(x, arr.shape[1])
     alpha = angle_point_subspace(unit, Subspace(arr))
-    if alpha >= math.pi / 2.0 - 1e-8:
+    if alpha >= math.pi / 2.0 - COMPLEMENT_BAND:
         raise XInComplement("x lies in the orthogonal complement of the row span")
     coords = arr @ unit
     cos_alpha = math.cos(alpha)
@@ -372,7 +372,7 @@ def inclusion_radius_check(
         supports = np.linalg.norm(dual.project_many(dirs @ basis), axis=1)
         estimate = min(estimate, float(supports.min()))
     reference = math.sin(status.primal_angle)
-    agreement = abs(estimate - reference) <= 0.1 * reference
+    agreement = abs(estimate - reference) <= INCLUSION_AGREEMENT * reference
     return estimate, agreement
 
 

@@ -29,17 +29,14 @@ from .errors import (
     NumericalFailure,
 )
 from .grassmann import Subspace, complement
+from .tolerances import (ANGLE_THRESHOLD, ASCENT_GRADIENT_TOL, ASCENT_MAX_STEPS, ASCENT_MIN_GAIN,
+                         ASCENT_MIN_NORM, ASCENT_MIN_STEP, MEMBERSHIP_TOL, PRODUCT_WEIGHT_FLOOR,
+                         SIGNABLE_TOL, TIE_TOL)
 
 # Orthant enumeration is exact but exponential; beyond this many
 # coordinates the multistart path takes over.
 EXACT_ENUM_LIMIT = 16
 MULTISTART_COUNT = 64
-# A nonneg-signable eigenvector may dip this far below zero.
-SIGNABLE_TOL = 1e-9
-# Candidate extrema within this of each other count as ties.
-TIE_TOL = 1e-12
-# Three-way feasibility classification band, in radians.
-ANGLE_THRESHOLD = 1e-7
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -56,7 +53,7 @@ class Cone(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         ...
 
     @abc.abstractmethod
@@ -67,9 +64,12 @@ class Cone(abc.ABC):
     def project_many(self, x: np.ndarray) -> np.ndarray:
         """Row-wise Euclidean projection of a (count, dim) array."""
 
-    @abc.abstractmethod
     def dual(self) -> "Cone":
-        """The cone of directions with nonpositive inner product against self."""
+        """The cone of directions with nonpositive inner product against self.
+
+        Every supported cone is self-dual, so this is its negation -C.
+        """
+        return Negated(self)
 
     @abc.abstractmethod
     def sample_units(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -99,7 +99,7 @@ class Orthant(Cone):
     def dim(self) -> int:
         return self._n
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(x >= -tol))
 
@@ -108,9 +108,6 @@ class Orthant(Cone):
 
     def project_many(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(np.asarray(x, dtype=float), 0.0)
-
-    def dual(self) -> Cone:
-        return Negated(self)
 
     def sample_units(self, rng: np.random.Generator, count: int) -> np.ndarray:
         # Absolute Gaussians, half of them restricted to a random
@@ -147,7 +144,7 @@ class Lorentz(Cone):
     def dim(self) -> int:
         return self._n
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(x[-1] >= np.linalg.norm(x[:-1]) - tol)
 
@@ -178,9 +175,6 @@ class Lorentz(Cone):
         out[mid, :-1] = head[mid] * (coeff / safe_r)[:, None]
         out[mid, -1] = coeff
         return out
-
-    def dual(self) -> Cone:
-        return Negated(self)
 
     def sample_units(self, rng: np.random.Generator, count: int) -> np.ndarray:
         # Mixture of boundary rays (r = 1) and interior points with the
@@ -228,7 +222,7 @@ class Product(Cone):
         for cone, lo, hi in zip(self._factors, self._offsets, self._offsets[1:]):
             yield cone, x[..., lo:hi]
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         x = np.asarray(x, dtype=float)
         return all(cone.contains(block, tol) for cone, block in self._blocks(x))
 
@@ -242,12 +236,9 @@ class Product(Cone):
             [cone.project_many(block) for cone, block in self._blocks(x)], axis=1
         )
 
-    def dual(self) -> Cone:
-        return Product([cone.dual() for cone in self._factors])
-
     def sample_units(self, rng: np.random.Generator, count: int) -> np.ndarray:
         parts = []
-        weights = np.abs(rng.standard_normal((count, len(self._factors)))) + 1e-12
+        weights = np.abs(rng.standard_normal((count, len(self._factors)))) + PRODUCT_WEIGHT_FLOOR
         for j, cone in enumerate(self._factors):
             parts.append(cone.sample_units(rng, count) * weights[:, j, None])
         pts = np.concatenate(parts, axis=1)
@@ -282,7 +273,7 @@ class Negated(Cone):
     def dim(self) -> int:
         return self._inner.dim
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
         return self._inner.contains(-np.asarray(x, dtype=float), tol)
 
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -292,7 +283,8 @@ class Negated(Cone):
         return -self._inner.project_many(-np.asarray(x, dtype=float))
 
     def dual(self) -> Cone:
-        return Negated(self._inner.dual())
+        """The dual of -C is C, since C is self-dual."""
+        return self._inner
 
     def sample_units(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return -self._inner.sample_units(rng, count)
@@ -304,7 +296,7 @@ class Negated(Cone):
         return f"negated({self._inner.spec()})"
 
 
-def cone_membership(cone: Cone, x, tol: float = 1e-9) -> bool:
+def cone_membership(cone: Cone, x, tol: float = MEMBERSHIP_TOL) -> bool:
     """Membership oracle with a dimension check."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != cone.dim:
@@ -437,23 +429,23 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
     return best_val, point
 
 
-def _projected_extremize(m_mat, cone, x0, maximize, max_iter=500, grad_tol=1e-12):
+def _projected_extremize(m_mat, cone, x0, maximize):
     """Projected gradient ascent/descent on the cone, renormalized each step."""
     sign = 1.0 if maximize else -1.0
     x = np.asarray(x0, dtype=float)
     f = sign * float(x @ m_mat @ x)
     step = 1.0
     converged = False
-    for _ in range(max_iter):
+    for _ in range(ASCENT_MAX_STEPS):
         grad = 2.0 * sign * (m_mat @ x)
         moved = False
-        while step > 1e-18:
+        while step > ASCENT_MIN_STEP:
             cand = cone.project(x + step * grad)
             norm = float(np.linalg.norm(cand))
-            if norm > 1e-14:
+            if norm > ASCENT_MIN_NORM:
                 cand = cand / norm
                 fc = sign * float(cand @ m_mat @ cand)
-                if fc > f + 1e-15 * (1.0 + abs(f)):
+                if fc > f + ASCENT_MIN_GAIN * (1.0 + abs(f)):
                     pg_norm = float(np.linalg.norm(cand - x)) / step
                     x, f = cand, fc
                     moved = True
@@ -463,7 +455,7 @@ def _projected_extremize(m_mat, cone, x0, maximize, max_iter=500, grad_tol=1e-12
         if not moved:
             converged = True  # no improving step at resolution limit
             break
-        if pg_norm < grad_tol:
+        if pg_norm < ASCENT_GRADIENT_TOL:
             converged = True
             break
     return sign * f, x, converged
@@ -573,11 +565,11 @@ def _certify_dual_touches(dual: Cone, w: Subspace, perp: Subspace,
     """angle(dual C, W_perp) <= ANGLE_THRESHOLD shown from the primal witness, or None.
 
     y maximizes ||P_W x|| over unit x in C, at cos^2 = lam < 1.  By the
-    KKT conditions P_W y - lam y lies in the dual cone, and for cones
-    whose dual is -C so does -(1 - lam) y; their sum P_W y - y lies in
-    W_perp as well.  Its projection onto the dual cone is the
-    certificate, accepted only when its angle to W_perp is checked to be
-    at most the threshold.
+    KKT conditions P_W y - lam y lies in the dual cone, and since the
+    dual cone is -C (Cone.dual) so does -(1 - lam) y; their sum
+    P_W y - y lies in W_perp as well.  Its projection onto the dual cone
+    is the certificate, accepted only when its angle to W_perp is checked
+    to be at most the threshold.
     """
     v = dual.project(w.project(y) - y)
     norm = float(np.linalg.norm(v))

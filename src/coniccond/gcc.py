@@ -20,9 +20,8 @@ import numpy as np
 from .condition import ConditionValue
 from .errors import EmptyInput, NonUnitPoint, ZeroColumn
 from .linalg import require_matrix
-
-# Columns this close to angular radius pi/2 make the condition infinite.
-_RIGHT_ANGLE_TOL = 1e-9
+from .tolerances import (CAP_BOUNDARY_TOL, CAP_TIE_TOL, CENTER_NORM_FLOOR, RIGHT_ANGLE_TOL,
+                         UNIT_NORM_TOL)
 
 
 @dataclass(frozen=True)
@@ -32,10 +31,6 @@ class SphericalCap:
     center: np.ndarray
     radius: float
     support: tuple[int, ...]
-
-
-def _cap_radius(points: np.ndarray, center: np.ndarray) -> float:
-    return float(np.arccos(np.clip(points @ center, -1.0, 1.0)).max())
 
 
 def smallest_enclosing_cap(points) -> SphericalCap:
@@ -53,7 +48,7 @@ def smallest_enclosing_cap(points) -> SphericalCap:
     if pts.size == 0 or pts.shape[0] == 0:
         raise EmptyInput("at least one point is required")
     norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
+    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
         worst = int(np.argmax(np.abs(norms - 1.0)))
         raise NonUnitPoint(f"point {worst} has norm {norms[worst]!r}")
     count, ambient = pts.shape
@@ -71,7 +66,7 @@ def smallest_enclosing_cap(points) -> SphericalCap:
                 continue
             center = sub.T @ weights
             norm = float(np.linalg.norm(center))
-            if norm < 1e-12:
+            if norm < CENTER_NORM_FLOOR:
                 continue
             center /= norm
             candidates.append(center)
@@ -81,25 +76,23 @@ def smallest_enclosing_cap(points) -> SphericalCap:
     best_radius = math.inf
     best_boundary: tuple[int, ...] = ()
     for center in candidates:
-        radius = _cap_radius(pts, center)
-        if radius < best_radius - 1e-12:
-            take = True
-        elif radius <= best_radius + 1e-12:
-            boundary = _boundary(pts, center, radius)
-            take = boundary < best_boundary
-        else:
-            take = False
-        if take:
+        angles = np.arccos(np.clip(pts @ center, -1.0, 1.0))
+        radius = float(angles.max())
+        # The negated test also skips a NaN radius.
+        if not radius <= best_radius + CAP_TIE_TOL:
+            continue
+        boundary = _boundary(angles, radius)
+        if radius < best_radius - CAP_TIE_TOL or boundary < best_boundary:
             best_center = center
             best_radius = radius
-            best_boundary = _boundary(pts, center, radius)
+            best_boundary = boundary
     assert best_center is not None
     return SphericalCap(center=best_center, radius=best_radius, support=best_boundary)
 
 
-def _boundary(pts: np.ndarray, center: np.ndarray, radius: float) -> tuple[int, ...]:
-    angles = np.arccos(np.clip(pts @ center, -1.0, 1.0))
-    return tuple(int(i) for i in np.flatnonzero(np.abs(angles - radius) <= 1e-8))
+def _boundary(angles: np.ndarray, radius: float) -> tuple[int, ...]:
+    """Indices of the points whose angle to the center is the radius."""
+    return tuple(int(i) for i in np.flatnonzero(np.abs(angles - radius) <= CAP_BOUNDARY_TOL))
 
 
 def gcc_condition(a) -> ConditionValue:
@@ -107,13 +100,13 @@ def gcc_condition(a) -> ConditionValue:
 
     Columns are normalized first, so the value is invariant under
     positive column scaling.  Infinite when the radius is a right angle
-    within 1e-9.
+    within RIGHT_ANGLE_TOL.
     """
     arr = require_matrix(a)
     col_norms = np.linalg.norm(arr, axis=0)
     if np.any(col_norms == 0.0):
         raise ZeroColumn(f"column {int(np.argmin(col_norms))} is zero")
     cap = smallest_enclosing_cap((arr / col_norms).T)
-    if abs(cap.radius - math.pi / 2.0) <= _RIGHT_ANGLE_TOL:
+    if abs(cap.radius - math.pi / 2.0) <= RIGHT_ANGLE_TOL:
         return ConditionValue.exact(math.inf, "enclosing-cap")
     return ConditionValue.exact(1.0 / abs(math.cos(cap.radius)), "enclosing-cap")

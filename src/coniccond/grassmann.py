@@ -11,12 +11,7 @@ import numpy as np
 
 from .errors import DimensionError, NumericalFailure, ZeroVector
 from .linalg import polar_decompose, require_matrix
-
-# Cosines may exceed 1 by at most this much before we suspect corruption.
-COSINE_OVERSHOOT = 1e-8
-# Angles below this are recomputed through the sine route to avoid the
-# arccos cancellation near 0.
-SMALL_ANGLE = 1e-4
+from .tolerances import BASIS_DEFECT_TOL, COSINE_OVERSHOOT, SMALL_ANGLE, SUBSPACE_ANGLE_TOL
 
 
 class Subspace:
@@ -34,7 +29,7 @@ class Subspace:
         if not 1 <= m < n:
             raise DimensionError(f"subspace dimension must satisfy 1 <= m < n, got {m}, {n}")
         defect = float(np.linalg.norm(arr @ arr.T - np.eye(m)))
-        if defect > 1e-8:
+        if defect > BASIS_DEFECT_TOL:
             raise ValueError(f"basis rows are not orthonormal (defect {defect:.2e})")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -60,13 +55,13 @@ class Subspace:
         x = np.asarray(x, dtype=float)
         return self._basis.T @ (self._basis @ x)
 
-    def span_equals(self, other: "Subspace", tol: float = 1e-8) -> bool:
+    def span_equals(self, other: "Subspace", tol: float = SUBSPACE_ANGLE_TOL) -> bool:
         if self.dim != other.dim or self.ambient_dim != other.ambient_dim:
             return False
         angles = principal_angles(self, other)
         return float(angles[-1]) <= tol
 
-    def contains(self, x, tol: float = 1e-8) -> bool:
+    def contains(self, x, tol: float = SUBSPACE_ANGLE_TOL) -> bool:
         return angle_point_subspace(x, self) <= tol
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -87,7 +82,7 @@ def complement(w: Subspace) -> Subspace:
 def principal_angles(w1: Subspace, w2: Subspace) -> np.ndarray:
     """Principal angles between two subspaces of equal dimension.
 
-    Returns a nondecreasing vector in [0, pi/2].  Angles below 1e-4 are
+    Returns a nondecreasing vector in [0, pi/2].  Angles below SMALL_ANGLE are
     recomputed from the sine-based product B2 (I - B1^T B1), which stays
     accurate where arccos loses digits.
     """

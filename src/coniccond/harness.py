@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condition import analyze, iteration_bound_estimate, json_number, witness_image
-from .cones import (ANGLE_THRESHOLD, Cone, Feasibility, Orthant, _stream, classify_feasibility,
-                    cone_subspace_angle, dual_cone, parse_cone)
+from .cones import (Cone, Feasibility, Orthant, _stream, classify_feasibility, cone_subspace_angle,
+                    dual_cone, parse_cone)
 from .errors import DimensionError, InconsistentClassification, NumericalFailure, RankDeficient
 from .gcc import gcc_condition
 from .grassmann import Subspace, complement, subspace_from_rowspan
 from .linalg import kappa, polar_decompose, require_matrix
+from .tolerances import ANGLE_THRESHOLD, BRACKET_OVERSHOOT, SANDWICH_SLACK
 
 THREADS_ENV = "CONIC_COND_THREADS"
 
@@ -170,7 +171,7 @@ def oracle_perturbation_bracket(cone: Cone, a, budget: int = 2000, seed: int = 0
         guided.append(factors.scale @ balanced_delta)
         # Overshoot slightly so the perturbed span crosses the boundary
         # instead of landing exactly on it.
-        guided.append(factors.scale @ (balanced_delta * (1.0 + 1e-9)))
+        guided.append(factors.scale @ (balanced_delta * (1.0 + BRACKET_OVERSHOOT)))
     for delta in guided:
         if flips(delta):
             best = min(best, float(np.linalg.norm(delta, 2)))
@@ -247,9 +248,8 @@ class TrialRecord:
 def _sandwich_ok(grassmann: float, kap: float, lower: float, upper: float) -> bool:
     if math.isinf(grassmann):
         return math.isinf(upper)
-    slack = 1e-9
-    left = grassmann <= lower * (1.0 + slack) + slack
-    right = upper <= kap * grassmann * (1.0 + slack) + slack
+    left = grassmann <= lower * (1.0 + SANDWICH_SLACK) + SANDWICH_SLACK
+    right = upper <= kap * grassmann * (1.0 + SANDWICH_SLACK) + SANDWICH_SLACK
     return left and right
 
 

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalFailure, RankDeficient
-
-# Relative threshold below which a singular value counts as zero.
-RANK_TOLERANCE = 1e-9
+from .tolerances import BALANCED_TOL, RANK_TOLERANCE
 
 
 def require_matrix(a) -> np.ndarray:
@@ -74,6 +72,11 @@ def svd_factorize(a) -> SvdFactorization:
     return SvdFactorization(u, s, vh.T)
 
 
+def is_rank_deficient(s: np.ndarray) -> bool:
+    """True when the smallest of the nonincreasing singular values s counts as zero."""
+    return bool(s[0] == 0.0 or s[-1] <= RANK_TOLERANCE * s[0])
+
+
 def kappa(a) -> float:
     """Matrix condition number sigma_1 / sigma_m, inf when rank deficient."""
     arr = require_matrix(a)
@@ -81,7 +84,7 @@ def kappa(a) -> float:
     if m > n:
         raise DimensionError(f"kappa requires m <= n, got shape {arr.shape}")
     s = np.linalg.svd(arr, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= RANK_TOLERANCE * s[0]:
+    if is_rank_deficient(s):
         return float("inf")
     return float(s[0] / s[-1])
 
@@ -97,7 +100,7 @@ def polar_decompose(a) -> PolarFactors:
     if m >= n:
         raise DimensionError(f"polar decomposition requires m < n, got shape {arr.shape}")
     u, s, vh = np.linalg.svd(arr, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= RANK_TOLERANCE * s[0]:
+    if is_rank_deficient(s):
         raise RankDeficient(f"matrix of shape {arr.shape} is not of full row rank")
     scale = (u * s) @ u.T
     scale = 0.5 * (scale + scale.T)
@@ -118,7 +121,7 @@ def rank_deficiency_distance(a) -> float:
     return float(s[-1])
 
 
-def is_balanced(a, tol: float = 1e-9) -> bool:
+def is_balanced(a, tol: float = BALANCED_TOL) -> bool:
     """True when the rows are orthonormal (B B^T = I within tol, Frobenius)."""
     arr = require_matrix(a)
     m = arr.shape[0]

@@ -1,0 +1,75 @@
+"""Every numerical tolerance of coniccond, each defined once.
+
+The ill-posed set (the subspaces that touch the cone) has measure zero,
+so every "touches the cone", "rank deficient" and "tie" decision in the
+package is a floating-point band.  This module is the only place such a
+band is set, and it imports nothing.  Each line below says what the value
+decides; two decisions that happen to share a value keep separate names.
+The size limit of exact enumeration and the multistart start count are
+effort limits, not tolerances, and stay in cones.py; the multistart step
+limit is here because it decides whether a run counts as converged.
+"""
+
+# --- Cones and their angles (cones.py) ---
+# An angle to the subspace at or below this, in radians, means the subspace touches the cone.
+ANGLE_THRESHOLD = 1e-7
+# A point lies in a cone when it violates the cone's inequality by at most this.
+MEMBERSHIP_TOL = 1e-9
+# An eigenvector of a principal submatrix is signable when it dips at most this below zero.
+SIGNABLE_TOL = 1e-9
+# Enumerated extremum candidates within this of the best value tie for the witness.
+TIE_TOL = 1e-12
+# Product cone sampling weights each factor at least this, so no sample drops a block.
+PRODUCT_WEIGHT_FLOOR = 1e-12
+
+# --- Multistart projected gradient (cones.py) ---
+# A run that has not converged after this many steps is dropped.
+ASCENT_MAX_STEPS = 500
+# A run has converged when its projected gradient norm falls below this.
+ASCENT_GRADIENT_TOL = 1e-12
+# The line search has converged when its step shrinks to this without improving.
+ASCENT_MIN_STEP = 1e-18
+# A projected trial point shorter than this cannot be renormalized and is skipped.
+ASCENT_MIN_NORM = 1e-14
+# A trial point is an improvement when it gains more than this times 1 + |f|.
+ASCENT_MIN_GAIN = 1e-15
+
+# --- Matrices and subspaces (linalg.py, grassmann.py) ---
+# A singular value at most this times the largest one counts as zero.
+RANK_TOLERANCE = 1e-9
+# A matrix is balanced when ||B B^T - I||_F is at most this.
+BALANCED_TOL = 1e-9
+# A subspace basis is accepted when ||B B^T - I||_F is at most this.
+BASIS_DEFECT_TOL = 1e-8
+# A vector or subspace lies in a subspace when its largest angle to it is at most this.
+SUBSPACE_ANGLE_TOL = 1e-8
+# A computed cosine above 1 by more than this is reported as a numerical failure.
+COSINE_OVERSHOOT = 1e-8
+# Principal angles below this are recomputed through sines, where arccos loses digits.
+SMALL_ANGLE = 1e-4
+
+# --- Condition numbers and witnesses (condition.py) ---
+# A dual-route minimum at most this times max(1, ||A||) makes the instance ill posed.
+ZERO_DISTANCE = 1e-12
+# A vector within this of pi/2 to the row span lies in its orthogonal complement.
+COMPLEMENT_BAND = 1e-8
+# The sampled inclusion radius agrees when within this fraction of 1/C(W).
+INCLUSION_AGREEMENT = 0.1
+
+# --- GCC cap (gcc.py) ---
+# Cap points must have unit norm within this.
+UNIT_NORM_TOL = 1e-9
+# A circumcenter shorter than this before normalization gives no candidate center.
+CENTER_NORM_FLOOR = 1e-12
+# Candidate cap radii within this of the best tie, broken by the boundary index set.
+CAP_TIE_TOL = 1e-12
+# A point is on the cap boundary when its angle to the center is within this of the radius.
+CAP_BOUNDARY_TOL = 1e-8
+# A cap radius within this of pi/2 makes the GCC condition infinite.
+RIGHT_ANGLE_TOL = 1e-9
+
+# --- Oracles and experiments (harness.py) ---
+# Relative and absolute slack of the sandwich check C(W) <= R(A) <= kappa(A) C(W).
+SANDWICH_SLACK = 1e-9
+# The bracket oracle also tries the primal witness perturbation scaled by 1 + this.
+BRACKET_OVERSHOOT = 1e-9

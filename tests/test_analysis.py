@@ -166,6 +166,11 @@ class TestViewsAgree:
         with pytest.raises(ValueError):
             analysis.renegar()
 
+    def test_subspace_and_matrix_together_are_refused(self):
+        # W would not be checked to be the row span of A.
+        with pytest.raises(ValueError):
+            analyze(Orthant(4), subspace_from_rowspan(PRIMAL_STRICT), a=DUAL_STRICT)
+
 
 class TestErrorTrials:
     """lorentz:5, n=5, m=2, seed 0: multistart finds no converged run on trial 0."""

@@ -69,6 +69,11 @@ class TestDual:
         inside = cone.sample_units(rng, 10_000)
         assert all(double.contains(p, 1e-9) for p in inside[:200])
 
+    @pytest.mark.parametrize("cone", [Orthant(3), Lorentz(3), Negated(Orthant(2)),
+                                      Product([Orthant(1), Lorentz(3)])])
+    def test_dual_of_dual_is_the_cone(self, cone):
+        assert cone.dual().dual().spec() == cone.spec()
+
     def test_product_dual_blockwise(self):
         cone = Product([Orthant(1), Lorentz(3)])
         dual = dual_cone(cone)
