@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import abc
 import enum
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +32,8 @@ from .errors import (
 )
 from .grassmann import Subspace, complement
 from .tolerances import (ANGLE_THRESHOLD, ASCENT_GRADIENT_TOL, ASCENT_MAX_STEPS, ASCENT_MIN_GAIN,
-                         ASCENT_MIN_NORM, ASCENT_MIN_STEP, MEMBERSHIP_TOL, PRODUCT_WEIGHT_FLOOR,
-                         SIGNABLE_TOL, TIE_TOL)
+                         ASCENT_MIN_NORM, ASCENT_MIN_STEP, GENERAL_POSITION_TOL, MEMBERSHIP_TOL,
+                         PRODUCT_WEIGHT_FLOOR, SIGNABLE_TOL, TIE_TOL)
 
 # Orthant enumeration is exact but exponential; beyond this many
 # coordinates the multistart path takes over.
@@ -377,7 +379,68 @@ def _angle_of_cos2(lam: float) -> float:
     return float(np.arctan2(np.sqrt(1.0 - lam), np.sqrt(lam)))
 
 
-def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=None):
+@functools.lru_cache(maxsize=None)
+def _support_table(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The supports of one size in lexicographic order, and their bitmasks (read-only)."""
+    combos = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
+    masks = (np.int64(1) << combos).sum(axis=1)
+    combos.flags.writeable = masks.flags.writeable = False
+    return combos, masks
+
+
+def _cover_bound(n: int, r: int) -> int:
+    """Cover's (1965) bound on the cells of n central hyperplanes in R^r.
+
+    Realizable supports pay off while it is at most half of the 2^n sign
+    patterns, about r <= n/2; past that, building their table costs more
+    than the solves it saves.
+    """
+    return 2 * sum(math.comb(n - 1, k) for k in range(r))
+
+
+def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
+    """Table over support bitmasks: True for the positive sets of B^T y, y in R^r.
+
+    The maximizer x of ||B x|| over unit x >= 0 has such a support: by
+    the KKT conditions (B^T B x)_i = lam x_i > 0 on it and <= 0 off it.
+    These sets are the cells of the central arrangement {B^T y = 0}.  In
+    general position each cell has a ray on r - 1 of the hyperplanes:
+    for each (r-1)-subset S of columns the ray is +-rho, the signed
+    cofactors of B_S, and the cells around it take the signs of B^T rho
+    off S and every sign on S.  Returns None when the arrangement is
+    not in general position within GENERAL_POSITION_TOL: a zero column,
+    a vanishing cofactor ray, or a ray on another hyperplane.  The band
+    is near sqrt(TIE_TOL): a support whose cell is a crossing that close
+    from the maximizer's can tie with it for the witness.
+    """
+    r, n = basis.shape
+    norms = np.linalg.norm(basis, axis=0)
+    if norms.min() <= GENERAL_POSITION_TOL:
+        return None
+    subsets, _ = _support_table(n, r - 1)
+    minors = np.array([np.delete(np.arange(r), j) for j in range(r)], dtype=np.intp)
+    columns = basis.T[subsets]                        # (rays, r - 1, r)
+    rays = np.linalg.det(np.moveaxis(columns[:, :, minors], 2, 1)) * (-1.0) ** np.arange(r)
+    ray_norms = np.linalg.norm(rays, axis=1)
+    if np.any(ray_norms <= GENERAL_POSITION_TOL * np.prod(norms[subsets], axis=1)):
+        return None
+    # B^T rho for unit rays; its off-S entries are the coordinates of x they give.
+    entries = (rays / ray_norms[:, None]) @ basis
+    off = np.ones(entries.shape, dtype=bool)
+    off[np.arange(len(subsets))[:, None], subsets] = False
+    if np.any(np.abs(entries[off]) <= GENERAL_POSITION_TOL):
+        return None
+    bits = np.int64(1) << np.arange(n)
+    sign_choices = (np.arange(1 << (r - 1))[:, None] >> np.arange(r - 1)) & 1
+    on_s = (np.int64(1) << subsets) @ sign_choices.T  # (rays, 2^(r-1)) masks within S
+    table = np.zeros(1 << n, dtype=bool)
+    for side in (entries > 0.0, entries < 0.0):
+        table[((side & off) @ bits)[:, None] | on_s] = True
+    return table
+
+
+def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=None,
+                                realizable=None):
     """Exact extremum of y^T M y over unit y >= 0 by support enumeration.
 
     The extremizer restricted to its support F is an eigenvector of
@@ -385,6 +448,10 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
     nonnegative.  Ties are broken by lexicographically smallest support.
     Sizes are visited from n down to 1; neither the value nor the
     tie-break depends on that order.
+
+    With ``realizable`` (a table from _realizable_supports) only the
+    supports it marks are solved, each as in the full enumeration, so an
+    accepted value keeps its bits.
 
     With ``stop_angle`` (maximizing a projector, whose values are squared
     cosines) the enumeration returns after the first size whose best
@@ -397,7 +464,11 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
     # 1x1 eigenvector can always be signed, so size 1 accepts every row.
     accepted_by_size = []
     for size in range(n, 0, -1):
-        combos = np.array(list(itertools.combinations(range(n), size)))
+        combos, masks = _support_table(n, size)
+        if realizable is not None:
+            combos = combos[realizable[masks]]
+            if not len(combos):
+                continue
         subs = sym[combos[:, :, None], combos[:, None, :]]
         eigvals, eigvecs = np.linalg.eigh(subs)
         col = size - 1 if maximize else 0
@@ -488,13 +559,15 @@ def extremize_quadratic_over_cone(
     multistart_count: int = MULTISTART_COUNT,
     *,
     _stop_angle: float | None = None,
+    _basis: np.ndarray | None = None,
 ) -> QuadraticExtremum:
     """Extremize x^T M x over the unit vectors of a cone.
 
     Exact support enumeration when the cone is sign-isomorphic to an
     orthant of dimension <= EXACT_ENUM_LIMIT, multistart otherwise.
     ``_stop_angle`` lets the enumeration stop early; see
-    cone_subspace_angle.
+    cone_subspace_angle.  ``_basis`` is a B with M = B^T B, which limits
+    a maximizing enumeration to realizable supports.
     """
     m_mat = np.asarray(m_mat, dtype=float)
     if m_mat.shape != (cone.dim, cone.dim):
@@ -502,7 +575,10 @@ def extremize_quadratic_over_cone(
     signs = _orthant_signs(cone)
     if signs is not None and cone.dim <= EXACT_ENUM_LIMIT:
         conj = signs[:, None] * m_mat * signs[None, :]
-        val, y = _enumerate_orthant_extremum(conj, maximize, _stop_angle)
+        n, realizable = cone.dim, None
+        if _basis is not None and maximize and _cover_bound(n, len(_basis)) <= 2 ** (n - 1):
+            realizable = _realizable_supports(_basis * signs)
+        val, y = _enumerate_orthant_extremum(conj, maximize, _stop_angle, realizable)
         return QuadraticExtremum(
             value=val, point=signs * y, method="exact", converged_values=np.array([val])
         )
@@ -547,7 +623,7 @@ def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0, *,
     if cone.dim != w.ambient_dim:
         raise DimensionError(f"cone dimension {cone.dim} != ambient {w.ambient_dim}")
     ext = extremize_quadratic_over_cone(w.projector(), cone, maximize=True, seed=seed,
-                                        _stop_angle=_stop_angle)
+                                        _stop_angle=_stop_angle, _basis=w.basis)
     angle = _angle_of_cos2(ext.value)
     if ext.method == "exact":
         if _stop_angle is not None and angle <= _stop_angle:
@@ -560,18 +636,18 @@ def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0, *,
     return ConeAngleResult(angle=angle, witness=ext.point, method=ext.method, certified_gap=gap)
 
 
-def _certify_dual_touches(dual: Cone, w: Subspace, perp: Subspace,
+def _certify_dual_touches(cone: Cone, w: Subspace, perp: Subspace,
                           y: np.ndarray) -> ConeAngleResult | None:
-    """angle(dual C, W_perp) <= ANGLE_THRESHOLD shown from the primal witness, or None.
+    """angle(cone, perp) <= ANGLE_THRESHOLD shown from the other side's witness, or None.
 
-    y maximizes ||P_W x|| over unit x in C, at cos^2 = lam < 1.  By the
-    KKT conditions P_W y - lam y lies in the dual cone, and since the
-    dual cone is -C (Cone.dual) so does -(1 - lam) y; their sum
-    P_W y - y lies in W_perp as well.  Its projection onto the dual cone
-    is the certificate, accepted only when its angle to W_perp is checked
-    to be at most the threshold.
+    y maximizes ||P_w x|| over unit x in K = dual of ``cone`` (C** = C, so
+    this serves either side), at cos^2 = lam < 1.  By the KKT conditions
+    P_w y - lam y lies in ``cone``, and since ``cone`` is -K (Cone.dual)
+    so does -(1 - lam) y; their sum P_w y - y lies in perp as well.  Its
+    projection onto ``cone`` is the certificate, accepted only when its
+    angle to perp is checked to be at most the threshold.
     """
-    v = dual.project(w.project(y) - y)
+    v = cone.project(w.project(y) - y)
     norm = float(np.linalg.norm(v))
     if norm == 0.0:
         return None
@@ -588,19 +664,25 @@ def primal_dual_angles(cone: Cone, w: Subspace, seed: int = 0,
     With ``exact_angles=False`` only an angle above ANGLE_THRESHOLD is
     solved exactly; the angle of a side that touches the cone is a
     "certificate" that it is at most the threshold: a point where the
-    enumeration stopped, or, when the primal angle is strict and exact,
-    a dual point built from its witness.  The classification is the same
-    either way.  Multistart results are never stopped or certified.
+    enumeration stopped, or, when the other side is strict and exact, a
+    point built from its witness.  The side with the smaller subspace is
+    solved first, since in random ensembles it is usually the strict
+    one.  The classification is the same either way.  Multistart results
+    are never stopped or certified.
     """
     stop = None if exact_angles else ANGLE_THRESHOLD
-    primal = cone_subspace_angle(cone, w, seed=seed, _stop_angle=stop)
-    dual, perp = dual_cone(cone), complement(w)
-    # With the stop on, an "exact" primal angle is a strict one.
-    if stop is not None and primal.method == "exact":
-        certified = _certify_dual_touches(dual, w, perp, primal.witness)
-        if certified is not None:
-            return primal, certified
-    return primal, cone_subspace_angle(dual, perp, seed=seed, _stop_angle=stop)
+    perp = complement(w)
+    swap = stop is not None and perp.dim < w.dim
+    sides = [(cone, w), (dual_cone(cone), perp)]
+    (first_cone, first_w), (second_cone, second_w) = sides[::-1] if swap else sides
+    first = cone_subspace_angle(first_cone, first_w, seed=seed, _stop_angle=stop)
+    second = None
+    # With the stop on, an "exact" angle is a strict one.
+    if stop is not None and first.method == "exact":
+        second = _certify_dual_touches(second_cone, first_w, second_w, first.witness)
+    if second is None:
+        second = cone_subspace_angle(second_cone, second_w, seed=seed, _stop_angle=stop)
+    return (second, first) if swap else (first, second)
 
 
 class Feasibility(enum.Enum):

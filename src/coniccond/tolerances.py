@@ -19,6 +19,8 @@ MEMBERSHIP_TOL = 1e-9
 SIGNABLE_TOL = 1e-9
 # Enumerated extremum candidates within this of the best value tie for the witness.
 TIE_TOL = 1e-12
+# B columns, relative cofactor rays or off-ray entries of B^T rho this small void general position.
+GENERAL_POSITION_TOL = 1e-6
 # Product cone sampling weights each factor at least this, so no sample drops a block.
 PRODUCT_WEIGHT_FLOOR = 1e-12
 

@@ -92,6 +92,16 @@ class TestSolveCounts:
         expected = {"primal_strict": 1, "dual_strict": 3, "ill_posed": 2}[record.status]
         assert len(solves) == expected
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 8, 12])
+    def test_trial_above_half_dimension_solves_dual_first(self, solves, no_threads, seed):
+        # m > n/2, so the dual angle comes first.  Dual strict (seeds 0-2):
+        # the dual angle, the primal side certified from its witness, then
+        # the dual-route minimum.  Primal strict (seeds 8, 12): the dual
+        # angle, stopped at the threshold, then the primal angle.
+        (record,) = run_experiment(ExperimentConfig(n=6, m=4, trials=1, seed=seed))
+        assert record.status == ("primal_strict" if seed in (8, 12) else "dual_strict")
+        assert len(solves) == 2
+
     def test_dual_minimum_is_solved_once(self, solves):
         analysis = analyze(Orthant(4), None, a=DUAL_STRICT)
         first = analysis.dual_minimum()

@@ -105,6 +105,29 @@ class TestCertificatePaths:
         # The dual enumeration itself stops at the first touching point.
         assert dual.method == "certificate" and dual.angle <= ANGLE_THRESHOLD
 
+    def test_dual_strict_certifies_primal_from_witness(self):
+        # dim W_perp = 2 < dim W = 4: the dual side is solved first and the
+        # primal side comes from its KKT point.
+        w = subspace_from_rowspan(np.random.default_rng(0).standard_normal((4, 6)))
+        perp = complement(w)
+        primal, dual = primal_dual_angles(Orthant(6), w, exact_angles=False)
+        assert dual.method == "exact" and dual.angle > ANGLE_THRESHOLD
+        assert primal.method == "certificate" and primal.angle <= ANGLE_THRESHOLD
+        y = dual.witness
+        expected = np.maximum(perp.project(y) - y, 0.0)
+        assert np.allclose(primal.witness, expected / np.linalg.norm(expected), atol=1e-15)
+        assert w.contains(primal.witness, tol=ANGLE_THRESHOLD)
+        exact = primal_dual_angles(Orthant(6), w)
+        assert dual.angle == exact[1].angle and np.array_equal(dual.witness, exact[1].witness)
+
+    def test_failed_primal_certificate_solves_primal(self, monkeypatch):
+        monkeypatch.setattr(coniccond.cones, "_certify_dual_touches", lambda *args: None)
+        w = subspace_from_rowspan(np.random.default_rng(0).standard_normal((4, 6)))
+        primal, dual = primal_dual_angles(Orthant(6), w, exact_angles=False)
+        assert dual.method == "exact" and dual.angle > ANGLE_THRESHOLD
+        # The primal enumeration itself stops at the first touching point.
+        assert primal.method == "certificate" and primal.angle <= ANGLE_THRESHOLD
+
     def test_dual_strict_stops_primal(self):
         w = subspace_from_rowspan(np.array([[1.0, 2.0, 0.5, 1.5], [0.3, -1.0, 1.2, 0.4]]))
         primal, dual = primal_dual_angles(Orthant(4), w, exact_angles=False)

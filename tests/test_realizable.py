@@ -1,0 +1,154 @@
+"""Realizable supports: the orthant maximum solved only on cells of {B^T y = 0}."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import coniccond.cones
+from coniccond import Negated, Orthant, Product, Subspace, cone_subspace_angle
+from coniccond.cones import (_angle_of_cos2, _cover_bound, _enumerate_orthant_extremum,
+                             _orthant_signs, _realizable_supports, extremize_quadratic_over_cone)
+
+
+def _orthant_like(blocks):
+    """Product of orthants (True) and negated orthants (False) of the given sizes."""
+    factors = [Orthant(k) if positive else Negated(Orthant(k)) for positive, k in blocks]
+    return factors[0] if len(factors) == 1 else Product(factors)
+
+
+def _row_basis(a):
+    """Orthonormal rows spanning the rows of a full-rank a."""
+    u, _, vh = np.linalg.svd(a, full_matrices=False)
+    return u @ vh
+
+
+def _gaussian_basis(n, r, seed):
+    return _row_basis(np.random.default_rng(seed).standard_normal((r, n)))
+
+
+@st.composite
+def arrangements(draw):
+    """An orthant-like cone with n <= 12 and a basis B of W, often degenerate.
+
+    W may contain a boundary point of the cone moved off by eps, or B may
+    have a zero or a duplicated column.
+    """
+    blocks = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 6)), min_size=1, max_size=3)
+                  .filter(lambda b: 2 <= sum(k for _, k in b) <= 12))
+    cone = _orthant_like(blocks)
+    n = cone.dim
+    r = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((r, n))
+    kind = draw(st.sampled_from(["generic", "boundary", "zero column", "duplicated column"]))
+    if kind == "boundary":
+        eps = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3]))
+        face = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.6)
+        face[rng.integers(n)] = 1.0
+        a[0] = _orthant_signs(cone) * face + eps * rng.standard_normal(n)
+    elif kind == "zero column":
+        a[:, rng.integers(n)] = 0.0
+    elif kind == "duplicated column":
+        i, j = rng.choice(n, 2, replace=False)
+        a[:, i] = a[:, j]
+    if np.linalg.matrix_rank(a) < r:
+        a = rng.standard_normal((r, n))
+    return cone, _row_basis(a)
+
+
+class TestRealizableRoute:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(arrangements())
+    def test_realizable_route_is_the_full_enumeration_bit_for_bit(self, arrangement):
+        cone, basis = arrangement
+        signs = _orthant_signs(cone)
+        conj = basis.T @ basis * np.outer(signs, signs)
+        full = _enumerate_orthant_extremum(conj, True)
+        # Every r, not only those the route rule sends to the table.
+        table = _realizable_supports(basis * signs)
+        if table is not None:
+            value, point = _enumerate_orthant_extremum(conj, True, None, table)
+            assert value == full[0]
+            assert np.array_equal(point, full[1])
+        ext = extremize_quadratic_over_cone(basis.T @ basis, cone, True, _basis=basis)
+        assert ext.value == full[0]
+        assert np.array_equal(ext.point, signs * full[1])
+
+    def test_angle_matches_the_unfiltered_solve(self):
+        # cone_subspace_angle passes the basis; the projector alone gives
+        # the full enumeration.
+        w = Subspace(_gaussian_basis(12, 3, seed=4))
+        angle = cone_subspace_angle(Orthant(12), w)
+        full = extremize_quadratic_over_cone(w.projector(), Orthant(12), True)
+        assert angle.method == "exact"
+        assert angle.angle == _angle_of_cos2(full.value)
+        assert np.array_equal(angle.witness, full.point)
+
+
+class TestCellCount:
+    @pytest.mark.parametrize("n, r, cells", [(8, 2, 16), (10, 3, 92), (12, 3, 134), (12, 4, 464)])
+    def test_generic_count_is_covers_bound(self, n, r, cells):
+        table = _realizable_supports(_gaussian_basis(n, r, seed=n + r))
+        assert table is not None
+        assert int(table.sum()) == cells == _cover_bound(n, r)
+
+    def test_one_dimensional_subspace_has_two_cells(self):
+        table = _realizable_supports(np.array([[3.0, -4.0, 1.0]]) / math.sqrt(26.0))
+        assert np.flatnonzero(table).tolist() == [0b010, 0b101]
+
+
+class TestFullRouteFallback:
+    def _solved_matrices(self, monkeypatch, *args, **kwargs):
+        original, solved = np.linalg.eigh, []
+
+        def counted(subs):
+            solved.append(len(subs))
+            return original(subs)
+
+        monkeypatch.setattr(coniccond.cones.np.linalg, "eigh", counted)
+        extremize_quadratic_over_cone(*args, **kwargs)
+        return sum(solved)
+
+    def test_generic_basis_solves_only_realizable_supports(self, monkeypatch):
+        basis = _gaussian_basis(10, 3, seed=1)
+        solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True,
+                                       _basis=basis)
+        assert solved == int(_realizable_supports(basis)[1:].sum())
+
+    @pytest.mark.parametrize("degeneracy", ["zero column", "duplicated column", "boundary point"])
+    def test_non_general_position_takes_the_full_route(self, monkeypatch, degeneracy):
+        a = np.random.default_rng(2).standard_normal((3, 10))
+        if degeneracy == "zero column":
+            a[:, 4] = 0.0
+        elif degeneracy == "duplicated column":
+            a[:, 4] = a[:, 7]
+        else:
+            # W through a point of the orthant with four zero coordinates.
+            a[0] = [1.0, 0.5, 2.0, 0.0, 0.0, 1.5, 0.0, 0.3, 0.0, 1.0]
+        basis = _row_basis(a)
+        assert _realizable_supports(basis) is None
+        solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True,
+                                       _basis=basis)
+        assert solved == 2**10 - 1
+
+    def test_minimization_takes_the_full_route(self, monkeypatch):
+        basis = _gaussian_basis(10, 3, seed=1)
+        solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), False,
+                                       _basis=basis)
+        assert solved == 2**10 - 1
+
+    def test_no_basis_takes_the_full_route(self, monkeypatch):
+        basis = _gaussian_basis(10, 3, seed=1)
+        solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True)
+        assert solved == 2**10 - 1
+
+    def test_subspace_above_half_the_dimension_takes_the_full_route(self, monkeypatch):
+        # Cover's bound at (10, 6) is 764 of 1024 sign patterns.
+        basis = _gaussian_basis(10, 6, seed=1)
+        assert _realizable_supports(basis) is not None
+        solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True,
+                                       _basis=basis)
+        assert solved == 2**10 - 1
