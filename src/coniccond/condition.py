@@ -27,6 +27,9 @@ from .grassmann import Subspace, angle_point_subspace, subspace_from_rowspan
 from .linalg import is_balanced, is_rank_deficient, kappa, require_matrix
 from .tolerances import COMPLEMENT_BAND, INCLUSION_AGREEMENT, ZERO_DISTANCE
 
+# Angular spacing, in radians, of the deterministic direction grid of inclusion_radius_check.
+INCLUSION_GRID_RESOLUTION = 0.05
+
 
 def json_number(x: float):
     """x itself, or the string "inf" for infinity, which JSON cannot carry."""
@@ -334,7 +337,6 @@ def inclusion_radius_check(
     w: Subspace,
     samples: int = 200_000,
     seed: int = 0,
-    bin_width: float = 0.05,
 ) -> tuple[float, bool]:
     """Randomized check of the inclusion-radius characterization.
 
@@ -344,7 +346,7 @@ def inclusion_radius_check(
     minimum over unit directions y of W of the support of K along y,
     and the support along y equals the norm of the dual-cone projection
     of y.  The sweep covers a deterministic direction grid with angular
-    resolution ``bin_width`` plus ``samples`` random directions.
+    resolution INCLUSION_GRID_RESOLUTION plus ``samples`` random directions.
     Agreement means within 10 percent of 1/C(W).
     """
     if samples < 1000:
@@ -357,7 +359,7 @@ def inclusion_radius_check(
     m = w.dim
 
     estimate = math.inf
-    grid = _direction_grid(m, bin_width, seed)
+    grid = _direction_grid(m, INCLUSION_GRID_RESOLUTION, seed)
     drawn = 0
     chunk_index = 0
     while grid is not None or drawn < samples:

@@ -55,11 +55,11 @@ class Subspace:
         x = np.asarray(x, dtype=float)
         return self._basis.T @ (self._basis @ x)
 
-    def span_equals(self, other: "Subspace", tol: float = SUBSPACE_ANGLE_TOL) -> bool:
+    def span_equals(self, other: "Subspace") -> bool:
         if self.dim != other.dim or self.ambient_dim != other.ambient_dim:
             return False
         angles = principal_angles(self, other)
-        return float(angles[-1]) <= tol
+        return float(angles[-1]) <= SUBSPACE_ANGLE_TOL
 
     def contains(self, x, tol: float = SUBSPACE_ANGLE_TOL) -> bool:
         return angle_point_subspace(x, self) <= tol

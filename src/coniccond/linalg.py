@@ -121,11 +121,11 @@ def rank_deficiency_distance(a) -> float:
     return float(s[-1])
 
 
-def is_balanced(a, tol: float = BALANCED_TOL) -> bool:
-    """True when the rows are orthonormal (B B^T = I within tol, Frobenius)."""
+def is_balanced(a) -> bool:
+    """True when the rows are orthonormal (B B^T = I within BALANCED_TOL, Frobenius)."""
     arr = require_matrix(a)
     m = arr.shape[0]
     if m > arr.shape[1]:
         return False
     defect = arr @ arr.T - np.eye(m)
-    return float(np.linalg.norm(defect)) <= tol
+    return float(np.linalg.norm(defect)) <= BALANCED_TOL

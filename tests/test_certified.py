@@ -98,7 +98,7 @@ class TestCertificatePaths:
         assert complement(w).contains(dual.witness, tol=ANGLE_THRESHOLD)
 
     def test_failed_certificate_solves_dual(self, monkeypatch):
-        monkeypatch.setattr(coniccond.cones, "_certify_dual_touches", lambda *args: None)
+        monkeypatch.setattr(coniccond.cones, "_certify_touches", lambda *args: None)
         w = subspace_from_rowspan(np.array([[1.0, -2.0, 0.5, 0.0], [0.0, 1.0, -1.5, -0.4]]))
         primal, dual = primal_dual_angles(Orthant(4), w, exact_angles=False)
         assert primal.method == "exact" and primal.angle > ANGLE_THRESHOLD
@@ -121,7 +121,7 @@ class TestCertificatePaths:
         assert dual.angle == exact[1].angle and np.array_equal(dual.witness, exact[1].witness)
 
     def test_failed_primal_certificate_solves_primal(self, monkeypatch):
-        monkeypatch.setattr(coniccond.cones, "_certify_dual_touches", lambda *args: None)
+        monkeypatch.setattr(coniccond.cones, "_certify_touches", lambda *args: None)
         w = subspace_from_rowspan(np.random.default_rng(0).standard_normal((4, 6)))
         primal, dual = primal_dual_angles(Orthant(6), w, exact_angles=False)
         assert dual.method == "exact" and dual.angle > ANGLE_THRESHOLD

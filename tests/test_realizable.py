@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import coniccond.cones
 from coniccond import Negated, Orthant, Product, Subspace, cone_subspace_angle
-from coniccond.cones import (_angle_of_cos2, _cover_bound, _enumerate_orthant_extremum,
+from coniccond.cones import (REALIZABLE_MIN_DIM, _angle_of_cos2, _enumerate_orthant_extremum,
                              _orthant_signs, _realizable_supports, extremize_quadratic_over_cone)
 
 
@@ -27,6 +27,11 @@ def _row_basis(a):
 
 def _gaussian_basis(n, r, seed):
     return _row_basis(np.random.default_rng(seed).standard_normal((r, n)))
+
+
+def _cover_bound(n, r):
+    """Cover's (1965) bound on the cells of n central hyperplanes in R^r."""
+    return 2 * sum(math.comb(n - 1, k) for k in range(r))
 
 
 @st.composite
@@ -99,6 +104,13 @@ class TestCellCount:
         table = _realizable_supports(np.array([[3.0, -4.0, 1.0]]) / math.sqrt(26.0))
         assert np.flatnonzero(table).tolist() == [0b010, 0b101]
 
+    def test_half_dimension_rule_is_covers_bound_at_half_the_sign_patterns(self):
+        # C(n-1, k) = C(n-1, n-1-k) pairs the terms of the bound, so it is at
+        # most 2^(n-1) exactly when r <= n - r; the route rule reads 2r <= n.
+        for n in range(2, 40):
+            for r in range(1, n):
+                assert (2 * r <= n) == (_cover_bound(n, r) <= 2 ** (n - 1)), (n, r)
+
 
 class TestFullRouteFallback:
     def _solved_matrices(self, monkeypatch, *args, **kwargs):
@@ -111,6 +123,24 @@ class TestFullRouteFallback:
         monkeypatch.setattr(coniccond.cones.np.linalg, "eigh", counted)
         extremize_quadratic_over_cone(*args, **kwargs)
         return sum(solved)
+
+    @pytest.mark.parametrize("n, r", [(n, r) for n in (4, 5, 6) for r in range(1, n)])
+    def test_below_the_table_dimension_solves_every_support(self, monkeypatch, n, r):
+        assert n < REALIZABLE_MIN_DIM
+        basis = _gaussian_basis(n, r, seed=n + r)
+        assert _realizable_supports(basis) is not None
+        solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(n), True,
+                                       _basis=basis)
+        assert solved == 2**n - 1
+
+    @pytest.mark.parametrize("n, r", [(7, 3), (8, 4), (10, 5), (12, 6)])
+    def test_half_dimension_subspace_solves_only_realizable_supports(self, monkeypatch, n, r):
+        basis = _gaussian_basis(n, r, seed=n + r)
+        table = _realizable_supports(basis)
+        assert table is not None
+        solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(n), True,
+                                       _basis=basis)
+        assert solved == int(table[1:].sum()) < 2**n - 1
 
     def test_generic_basis_solves_only_realizable_supports(self, monkeypatch):
         basis = _gaussian_basis(10, 3, seed=1)
