@@ -12,7 +12,8 @@ import json
 import sys
 
 from .cones import parse_cone
-from .errors import ConeSpecError, DimensionError, NumericalFailure, RankDeficient
+from .errors import (ConeSpecError, DimensionError, InconsistentClassification, NumericalFailure,
+                     RankDeficient)
 from .grassmann import grassmann_distances, principal_angles, subspace_from_rowspan
 from .harness import ExperimentConfig, condition_report, read_matrix, run_experiment, write_matrix
 from .linalg import polar_decompose
@@ -169,7 +170,7 @@ def main(argv=None) -> int:
     except (ConeSpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except NumericalFailure as exc:
+    except (NumericalFailure, InconsistentClassification) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (DimensionError, RankDeficient) as exc:

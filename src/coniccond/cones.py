@@ -39,9 +39,9 @@ from .errors import (
     NumericalFailure,
 )
 from .grassmann import Subspace, complement
-from .tolerances import (ANGLE_THRESHOLD, ASCENT_GRADIENT_TOL, ASCENT_MAX_STEPS, ASCENT_MIN_GAIN,
-                         ASCENT_MIN_NORM, ASCENT_MIN_STEP, GENERAL_POSITION_TOL, MEMBERSHIP_TOL,
-                         PRODUCT_WEIGHT_FLOOR, SIGNABLE_TOL, TIE_TOL)
+from .tolerances import (ANGLE_THRESHOLD, ASCENT_MAX_STEPS, ASCENT_MIN_GAIN, ASCENT_MIN_NORM,
+                         ASCENT_MIN_STEP, GENERAL_POSITION_TOL, MEMBERSHIP_TOL, PRODUCT_WEIGHT_FLOOR,
+                         SIGNABLE_TOL, TIE_TOL)
 
 # Orthant enumeration is exact but exponential; beyond this many
 # coordinates the multistart path takes over.
@@ -67,11 +67,11 @@ class Cone(abc.ABC):
     @property
     @abc.abstractmethod
     def dim(self) -> int:
-        ...
+        """Number of coordinates."""
 
     @abc.abstractmethod
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        ...
+    def contains(self, x) -> bool:
+        """Whether x violates the cone's inequality by at most MEMBERSHIP_TOL."""
 
     @abc.abstractmethod
     def project(self, x: np.ndarray) -> np.ndarray:
@@ -100,7 +100,7 @@ class Cone(abc.ABC):
     def spec(self) -> str:
         """Textual form; parseable back for the grammar cones."""
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec()!r})"
 
 
@@ -116,15 +116,14 @@ class Orthant(Cone):
     def dim(self) -> int:
         return self._n
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= -tol))
+        return bool(np.all(x >= -MEMBERSHIP_TOL))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(np.asarray(x, dtype=float), 0.0)
 
-    def project_many(self, x: np.ndarray) -> np.ndarray:
-        return np.maximum(np.asarray(x, dtype=float), 0.0)
+    project_many = project
 
     def sample_units(self, rng: np.random.Generator, count: int) -> np.ndarray:
         # Absolute Gaussians, half of them restricted to a random
@@ -161,9 +160,9 @@ class Lorentz(Cone):
     def dim(self) -> int:
         return self._n
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(x[-1] >= np.linalg.norm(x[:-1]) - tol)
+        return bool(x[-1] >= np.linalg.norm(x[:-1]) - MEMBERSHIP_TOL)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -239,9 +238,9 @@ class Product(Cone):
         for cone, lo, hi in zip(self._factors, self._offsets, self._offsets[1:]):
             yield cone, x[..., lo:hi]
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float)
-        return all(cone.contains(block, tol) for cone, block in self._blocks(x))
+        return all(cone.contains(block) for cone, block in self._blocks(x))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -290,8 +289,8 @@ class Negated(Cone):
     def dim(self) -> int:
         return self._inner.dim
 
-    def contains(self, x, tol: float = MEMBERSHIP_TOL) -> bool:
-        return self._inner.contains(-np.asarray(x, dtype=float), tol)
+    def contains(self, x) -> bool:
+        return self._inner.contains(-np.asarray(x, dtype=float))
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return -self._inner.project(-np.asarray(x, dtype=float))
@@ -313,12 +312,12 @@ class Negated(Cone):
         return f"negated({self._inner.spec()})"
 
 
-def cone_membership(cone: Cone, x, tol: float = MEMBERSHIP_TOL) -> bool:
+def cone_membership(cone: Cone, x) -> bool:
     """Membership oracle with a dimension check."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != cone.dim:
         raise DimensionError(f"vector length {x.shape[0]} != cone dimension {cone.dim}")
-    return cone.contains(x, tol)
+    return cone.contains(x)
 
 
 def dual_cone(cone: Cone) -> Cone:
@@ -413,15 +412,15 @@ def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
     for each (r-1)-subset S of columns the ray is +-rho, the signed
     cofactors of B_S, and the cells around it take the signs of B^T rho
     off S and every sign on S.  Returns None when the arrangement is
-    not in general position within GENERAL_POSITION_TOL: a zero column,
-    a vanishing cofactor ray, or a ray on another hyperplane.  The band
+    not in general position within GENERAL_POSITION_TOL: a vanishing
+    cofactor ray, or a ray on another hyperplane.  A column b_i that
+    small is one of these: since r - 1 < n some S omits i, and
+    |(B^T rho)_i| <= ||b_i|| for its unit ray rho.  The band
     is near sqrt(TIE_TOL): a support whose cell is a crossing that close
     from the maximizer's can tie with it for the witness.
     """
     r, n = basis.shape
     norms = np.linalg.norm(basis, axis=0)
-    if norms.min() <= GENERAL_POSITION_TOL:
-        return None
     subsets, _ = _support_table(n, r - 1)
     minors = np.array([np.delete(np.arange(r), j) for j in range(r)], dtype=np.intp)
     columns = basis.T[subsets]                        # (rays, r - 1, r)
@@ -506,15 +505,17 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
 
 
 def _projected_extremize(m_mat, cone, x0, maximize):
-    """Projected gradient ascent/descent on the cone, renormalized each step."""
+    """Projected gradient ascent/descent on the cone, renormalized each step.
+
+    A run has converged when no step down to ASCENT_MIN_STEP improves;
+    one still improving after ASCENT_MAX_STEPS steps has not.
+    """
     sign = 1.0 if maximize else -1.0
     x = np.asarray(x0, dtype=float)
     f = sign * float(x @ m_mat @ x)
     step = 1.0
-    converged = False
     for _ in range(ASCENT_MAX_STEPS):
         grad = 2.0 * sign * (m_mat @ x)
-        moved = False
         while step > ASCENT_MIN_STEP:
             cand = cone.project(x + step * grad)
             norm = float(np.linalg.norm(cand))
@@ -522,19 +523,13 @@ def _projected_extremize(m_mat, cone, x0, maximize):
                 cand = cand / norm
                 fc = sign * float(cand @ m_mat @ cand)
                 if fc > f + ASCENT_MIN_GAIN * (1.0 + abs(f)):
-                    pg_norm = float(np.linalg.norm(cand - x)) / step
                     x, f = cand, fc
-                    moved = True
                     step = min(step * 2.0, 1.0)
                     break
             step *= 0.5
-        if not moved:
-            converged = True  # no improving step at resolution limit
-            break
-        if pg_norm < ASCENT_GRADIENT_TOL:
-            converged = True
-            break
-    return sign * f, x, converged
+        else:  # no step down to ASCENT_MIN_STEP improved
+            return sign * f, x, True
+    return sign * f, x, False
 
 
 def _multistart_extremum(m_mat, cone, maximize, seed, count):

@@ -61,10 +61,10 @@ class Subspace:
         angles = principal_angles(self, other)
         return float(angles[-1]) <= SUBSPACE_ANGLE_TOL
 
-    def contains(self, x, tol: float = SUBSPACE_ANGLE_TOL) -> bool:
-        return angle_point_subspace(x, self) <= tol
+    def contains(self, x) -> bool:
+        return angle_point_subspace(x, self) <= SUBSPACE_ANGLE_TOL
 
-    def __repr__(self) -> str:  # pragma: no cover
+    def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient_dim={self.ambient_dim})"
 
 

@@ -282,7 +282,10 @@ def _worker_count() -> int:
     raw = os.environ.get(THREADS_ENV, "")
     if not raw:
         return 1
-    workers = int(raw)
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
     if workers < 1:
         raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
     return workers

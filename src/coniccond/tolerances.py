@@ -19,7 +19,7 @@ MEMBERSHIP_TOL = 1e-9
 SIGNABLE_TOL = 1e-9
 # Enumerated extremum candidates within this of the best value tie for the witness.
 TIE_TOL = 1e-12
-# B columns, relative cofactor rays or off-ray entries of B^T rho this small void general position.
+# Relative cofactor rays or off-ray entries of B^T rho this small void general position.
 GENERAL_POSITION_TOL = 1e-6
 # Product cone sampling weights each factor at least this, so no sample drops a block.
 PRODUCT_WEIGHT_FLOOR = 1e-12
@@ -27,9 +27,7 @@ PRODUCT_WEIGHT_FLOOR = 1e-12
 # --- Multistart projected gradient (cones.py) ---
 # A run that has not converged after this many steps is dropped.
 ASCENT_MAX_STEPS = 500
-# A run has converged when its projected gradient norm falls below this.
-ASCENT_GRADIENT_TOL = 1e-12
-# The line search has converged when its step shrinks to this without improving.
+# A run has converged when its line search shrinks the step to this without improving.
 ASCENT_MIN_STEP = 1e-18
 # A projected trial point shorter than this cannot be renormalized and is skipped.
 ASCENT_MIN_NORM = 1e-14

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coniccond.cli
+from coniccond import InconsistentClassification, NumericalFailure
 from coniccond.cli import main
 from coniccond.harness import read_matrix
 
@@ -59,6 +65,17 @@ class TestAnalyze:
         assert first == second
 
 
+    def test_human_report_with_interval_and_witness(self, capsys, tmp_path):
+        path = tmp_path / "primal.txt"
+        path.write_text("1 -2 0.5 0\n0 1 -1.5 -0.4\n")
+        code, out, _ = run(capsys, ["analyze", "--cone", "orthant:4", "--matrix", str(path),
+                                    "--witness"])
+        assert code == 0
+        assert "status    : primal_strict" in out
+        assert "renegar   : [3.20869084421" in out and "(sandwich)" in out
+        assert "witness   : image_contains on balanced_representative, frob_norm 0.311654" in out
+
+
 class TestDistance:
     def test_orthogonal_planes(self, capsys, tmp_path):
         a = tmp_path / "a.txt"
@@ -71,6 +88,16 @@ class TestDistance:
         assert payload["d_p"] == pytest.approx(1.0, abs=1e-12)
         assert payload["d_H"] == pytest.approx(math.pi / 2, abs=1e-12)
         assert payload["angles"][0] == pytest.approx(0.0, abs=1e-7)
+
+    def test_human_output(self, capsys, tmp_path):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("1 0 0\n")
+        b.write_text("0 1 0\n")
+        code, out, _ = run(capsys, ["distance", "--a", str(a), "--b", str(b)])
+        assert code == 0
+        assert out.splitlines() == ["angles : 1.57079632679", "d_p    : 1", "d_g    : 1.57079632679",
+                                    "d_H    : 1.57079632679"]
 
 
 class TestPrecondition:
@@ -124,7 +151,26 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["analyze", "--cone", "orthant:2", "--matrix", str(path)])
         assert code == 1
 
+    @pytest.mark.parametrize("error", [NumericalFailure, InconsistentClassification])
+    def test_solver_fault_exits_numerical(self, capsys, monkeypatch, a_eps_file, error):
+        def fail(*args, **kwargs):
+            raise error("solver fault")
+
+        monkeypatch.setattr(coniccond.cli, "condition_report", fail)
+        code, _, err = run(capsys, ["analyze", "--cone", "orthant:3", "--matrix", a_eps_file])
+        assert code == 2
+        assert err == "numerical failure: solver fault\n"
+
     def test_help_exits_zero(self, capsys):
         code, out, _ = run(capsys, ["--help"])
         assert code == 0
         assert "analyze" in out
+
+    def test_module_entry_point(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+        result = subprocess.run([sys.executable, "-m", "coniccond.cli", "bogus"], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: ")

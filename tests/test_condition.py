@@ -165,6 +165,11 @@ class TestWitnessImage:
             assert witness.frob_norm == pytest.approx(math.sin(alpha), abs=1e-10)
             assert witness.residual <= 1e-9
 
+    def test_point_of_the_row_span_needs_no_perturbation(self):
+        witness = witness_image(np.array([[1.0, 0.0, 0.0]]), np.array([2.0, 0.0, 0.0]))
+        assert np.array_equal(witness.delta, np.zeros((1, 3)))
+        assert witness.frob_norm == 0.0
+
     def test_errors(self):
         with pytest.raises(NotBalanced):
             witness_image(np.array([[2.0, 0.0, 0.0]]), np.ones(3))
@@ -314,6 +319,13 @@ class TestInclusionRadius:
     def test_three_dim_line(self):
         est, ok = inclusion_radius_check(Orthant(3), span([1, -1, 0]), samples=2000, seed=2)
         assert ok and est == pytest.approx(math.sin(math.pi / 4), rel=0.1)
+
+    def test_four_dim_subspace_uses_random_directions(self):
+        # W is orthogonal to (1, ..., 1), so it meets the orthant only at 0.
+        a = random_matrix(stream(66), 4, 6)
+        w = subspace_from_rowspan(a - a.mean(axis=1, keepdims=True))
+        est, ok = inclusion_radius_check(Orthant(6), w, samples=2000, seed=3)
+        assert ok
 
     def test_rejects_dual_feasible(self):
         with pytest.raises(NotPrimalFeasible):

@@ -21,9 +21,12 @@ from coniccond import (
     dual_cone,
     extremize_quadratic_over_cone,
     grassmann_distances,
+    FeasibilityStatus,
+    InconsistentClassification,
     parse_cone,
     subspace_from_rowspan,
 )
+from coniccond.cones import primal_dual_angles
 from conftest import random_matrix, stream
 
 SQ2 = math.sqrt(2.0)
@@ -35,29 +38,29 @@ def span(*rows):
 
 class TestMembership:
     def test_orthant(self):
-        assert cone_membership(Orthant(3), [1.0, 0.0, 2.0], 1e-9)
-        assert not cone_membership(Orthant(3), [1.0, -1e-6, 2.0], 1e-9)
+        assert cone_membership(Orthant(3), [1.0, 0.0, 2.0])
+        assert not cone_membership(Orthant(3), [1.0, -1e-6, 2.0])
 
     def test_lorentz_boundary(self):
-        assert cone_membership(Lorentz(3), [3.0, 4.0, 5.0], 1e-9)
-        assert not cone_membership(Lorentz(3), [3.0, 4.0, 4.9], 1e-9)
+        assert cone_membership(Lorentz(3), [3.0, 4.0, 5.0])
+        assert not cone_membership(Lorentz(3), [3.0, 4.0, 4.9])
 
     def test_dimension_check(self):
         with pytest.raises(DimensionError):
-            cone_membership(Orthant(3), [1.0, 2.0], 1e-9)
+            cone_membership(Orthant(3), [1.0, 2.0])
 
     def test_product_blockwise(self):
         cone = Product([Orthant(1), Lorentz(3)])
-        assert cone_membership(cone, [0.5, 3.0, 4.0, 5.0], 1e-9)
-        assert not cone_membership(cone, [-0.5, 3.0, 4.0, 5.0], 1e-9)
-        assert not cone_membership(cone, [0.5, 3.0, 4.0, 4.0], 1e-9)
+        assert cone_membership(cone, [0.5, 3.0, 4.0, 5.0])
+        assert not cone_membership(cone, [-0.5, 3.0, 4.0, 5.0])
+        assert not cone_membership(cone, [0.5, 3.0, 4.0, 4.0])
 
 
 class TestDual:
     def test_orthant_dual_is_nonpositive(self):
         dual = dual_cone(Orthant(2))
-        assert cone_membership(dual, [-1.0, -3.0], 1e-9)
-        assert not cone_membership(dual, [1.0, -3.0], 1e-9)
+        assert cone_membership(dual, [-1.0, -3.0])
+        assert not cone_membership(dual, [1.0, -3.0])
 
     def test_double_dual_agrees(self):
         rng = stream(40)
@@ -65,9 +68,9 @@ class TestDual:
         double = dual_cone(dual_cone(cone))
         pts = rng.standard_normal((10_000, 3))
         for p in pts[:200]:
-            assert cone.contains(p, 1e-9) == double.contains(p, 1e-9)
+            assert cone.contains(p) == double.contains(p)
         inside = cone.sample_units(rng, 10_000)
-        assert all(double.contains(p, 1e-9) for p in inside[:200])
+        assert all(double.contains(p) for p in inside[:200])
 
     @pytest.mark.parametrize("cone", [Orthant(3), Lorentz(3), Negated(Orthant(2)),
                                       Product([Orthant(1), Lorentz(3)])])
@@ -77,7 +80,7 @@ class TestDual:
     def test_product_dual_blockwise(self):
         cone = Product([Orthant(1), Lorentz(3)])
         dual = dual_cone(cone)
-        assert cone_membership(dual, [-1.0, -3.0, -4.0, -5.0], 1e-8)
+        assert cone_membership(dual, [-1.0, -3.0, -4.0, -5.0])
         rng = stream(41)
         for p in cone.sample_units(rng, 100):
             # every dual point has nonpositive inner product against the cone
@@ -93,7 +96,7 @@ class TestProjection:
         for _ in range(50):
             x = rng.standard_normal(cone.dim)
             p = cone.project(x)
-            assert cone.contains(p, 1e-9)
+            assert cone.contains(p)
             # idempotent
             assert np.linalg.norm(cone.project(p) - p) <= 1e-9
             # distance-minimizing: no sampled cone point is closer
@@ -112,6 +115,9 @@ class TestProjection:
 
 
 class TestParse:
+    def test_repr_shows_the_spec(self):
+        assert repr(Negated(Orthant(2))) == "Negated('negated(orthant:2)')"
+
     def test_round_trips(self):
         for text, expected in [
             ("orthant:3", Orthant),
@@ -140,7 +146,7 @@ class TestConeSubspaceAngle:
     def test_interior_meeting_line(self):
         res = cone_subspace_angle(Orthant(2), span([1, 1]))
         assert res.angle <= 1e-7
-        assert Orthant(2).contains(res.witness, 1e-9)
+        assert Orthant(2).contains(res.witness)
 
     def test_coordinate_plane(self):
         assert cone_subspace_angle(Orthant(3), span([1, 0, 0], [0, 1, 0])).angle <= 1e-7
@@ -180,6 +186,30 @@ class TestConeSubspaceAngle:
         for perm in itertools.islice(itertools.permutations(range(5)), 8):
             permuted = Subspace(w.basis[:, list(perm)])
             assert cone_subspace_angle(Orthant(5), permuted).angle == pytest.approx(base, abs=1e-9)
+
+
+MIXED = Product([Orthant(2), Lorentz(3)])
+
+
+class TestMixedProductLine:
+    """Multistart over a product with a Lorentz factor, against a closed form.
+
+    For a line W = span(u), angle(C, W) = arccos max(||proj_C(u)||,
+    ||proj_C(-u)||) for unit u, and a product projects blockwise exactly.
+    The tolerance is the benchmark's LORENTZ_ANGLE_TOL.
+    """
+
+    @pytest.mark.parametrize("cone", [MIXED, Negated(MIXED)], ids=lambda c: c.spec())
+    @pytest.mark.parametrize("seed", range(4))
+    def test_primal_angle_matches_projection(self, cone, seed):
+        u = np.random.default_rng(seed).standard_normal(cone.dim)
+        u /= np.linalg.norm(u)
+        cos = max(np.linalg.norm(cone.project(u)), np.linalg.norm(cone.project(-u)))
+        primal, _ = primal_dual_angles(cone, span(u))
+        assert primal.method == "multistart"
+        assert primal.angle == pytest.approx(math.acos(min(cos, 1.0)), abs=1e-6)
+        assert np.linalg.norm(primal.witness) == pytest.approx(1.0, abs=1e-12)
+        assert cone.contains(primal.witness)
 
 
 class TestExtremumRoute:
@@ -229,6 +259,10 @@ class TestClassification:
         assert status.primal_angle == pytest.approx(math.pi / 4, abs=1e-9)
         assert classify_feasibility(Orthant(2), span([1, 0])).tag is Feasibility.ILL_POSED
 
+    def test_both_angles_strict_is_inconsistent(self):
+        with pytest.raises(InconsistentClassification, match="both angles exceed"):
+            FeasibilityStatus.from_angles(0.5, 0.25)
+
     def test_random_subspaces_consistent(self):
         # Ill-posed subspaces have measure zero; the alternative theorem
         # forbids both angles being large.
@@ -270,7 +304,7 @@ class TestSampling:
     def test_samples_are_unit_members(self, cone):
         pts = cone.sample_units(stream(49), 500)
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
-        assert all(cone.contains(p, 1e-9) for p in pts)
+        assert all(cone.contains(p) for p in pts)
 
     @pytest.mark.parametrize("cone", [Orthant(4), Lorentz(4),
                                       Product([Orthant(2), Lorentz(3)])])
@@ -278,7 +312,7 @@ class TestSampling:
         rays = cone.extreme_unit_rays(16)
         assert len(rays) >= 1
         np.testing.assert_allclose(np.linalg.norm(rays, axis=1), 1.0, atol=1e-12)
-        assert all(cone.contains(r, 1e-9) for r in rays)
+        assert all(cone.contains(r) for r in rays)
 
     @pytest.mark.parametrize("cone", [Orthant(3), Lorentz(3), Negated(Lorentz(3)),
                                       Product([Lorentz(3), Orthant(2)])])

@@ -43,6 +43,11 @@ class TestSmallestEnclosingCap:
         np.testing.assert_allclose(cap.center, [1.0, 0.0], atol=1e-12)
         assert cap.radius == pytest.approx(0.0, abs=1e-12)
 
+    def test_single_point_as_a_vector(self):
+        cap = smallest_enclosing_cap([0.0, 1.0])
+        np.testing.assert_array_equal(cap.center, [0.0, 1.0])
+        assert cap.radius == 0.0
+
     def test_reference_triple(self):
         pts = np.array([[1.0, 0.0], [1 / SQ2, -1 / SQ2], [1 / SQ2, 1 / SQ2]])
         cap = smallest_enclosing_cap(pts)

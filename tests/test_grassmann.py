@@ -46,6 +46,13 @@ class TestSubspace:
         w = subspace_from_rowspan(random_matrix(rng, 3, 7))
         assert np.linalg.norm(w.basis @ w.basis.T - np.eye(3)) <= 1e-10
 
+    def test_spans_of_different_dimension_differ(self):
+        assert not span([1, 0, 0]).span_equals(span([1, 0, 0], [0, 1, 0]))
+        assert not span([1, 0]).span_equals(span([1, 0, 0]))
+
+    def test_repr(self):
+        assert repr(span([1, 0, 0])) == "Subspace(dim=1, ambient_dim=3)"
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(RankDeficient):
             subspace_from_rowspan([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])

@@ -160,6 +160,12 @@ class TestExperiment:
         run_experiment(ExperimentConfig(n=4, m=2, trials=30, seed=3, output_path=str(out2)))
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("raw", ["0", "two"])
+    def test_bad_thread_count_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("CONIC_COND_THREADS", raw)
+        with pytest.raises(ValueError, match=f"CONIC_COND_THREADS must be a positive integer, got '{raw}'"):
+            run_experiment(ExperimentConfig(n=4, m=2, trials=1, seed=3))
+
     def test_config_validation(self):
         with pytest.raises(DimensionError):
             ExperimentConfig(n=3, m=3, trials=10)

@@ -163,6 +163,9 @@ class TestBalancedProperties:
             assert kappa(b) == pytest.approx(1.0, abs=1e-10)
             assert is_balanced(b)
 
+    def test_more_rows_than_columns_is_not_balanced(self):
+        assert not is_balanced(np.ones((3, 2)))
+
     def test_projector_identity(self):
         rng = stream(10)
         b = random_balanced(rng, 2, 5)
