@@ -14,6 +14,7 @@ cone-subspace angles once; the conditions and the flip witness derive from it:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +26,7 @@ from .errors import (DimensionError, NotBalanced, NotDualFeasible, NotPrimalFeas
                      XInComplement, ZeroVector)
 from .grassmann import Subspace, angle_point_subspace, subspace_from_rowspan
 from .linalg import is_balanced, is_rank_deficient, kappa, require_matrix
-from .tolerances import COMPLEMENT_BAND, INCLUSION_AGREEMENT, ZERO_DISTANCE
+from .tolerances import COMPLEMENT_BAND, INCLUSION_AGREEMENT, RANK_CAP_FACTOR, ZERO_DISTANCE
 
 # Angular spacing, in radians, of the deterministic direction grid of inclusion_radius_check.
 INCLUSION_GRID_RESOLUTION = 0.05
@@ -109,9 +110,14 @@ def _witness(delta, property_forced, vector, residual, normalization=1.0) -> Per
                                float(residual), normalization)
 
 
-def _min_image_over_dual(cone: Cone, a: np.ndarray, seed: int):
-    """Minimize ||A p|| over unit p in the dual cone; returns (value, p, method)."""
-    ext = extremize_quadratic_over_cone(a.T @ a, dual_cone(cone), maximize=False, seed=seed)
+def _min_image_over_dual(cone: Cone, a: np.ndarray, seed: int, max_size: int | None = None):
+    """Minimize ||A p|| over unit p in the dual cone; returns (value, p, method).
+
+    ``max_size`` caps the support size of an exact enumeration; see
+    Analysis.dual_minimum.
+    """
+    ext = extremize_quadratic_over_cone(a.T @ a, dual_cone(cone), maximize=False, seed=seed,
+                                        _max_size=max_size)
     return float(np.sqrt(max(ext.value, 0.0))), ext.point, ext.method
 
 
@@ -129,7 +135,8 @@ class Analysis:
 
     The classification, both conditions and the flip witness derive from
     these two results.  The dual-route minimum of ||A p|| over unit p in
-    the dual cone is solved on first use, at most once, and needs ``a``.
+    the dual cone and kappa(A) are computed on first use, at most once,
+    and need ``a``.
     """
 
     cone: Cone
@@ -158,10 +165,27 @@ class Analysis:
             raise ValueError("this quantity needs the matrix: analyze(..., a=A)")
         return self.a
 
+    @functools.cached_property
+    def kappa(self) -> float:
+        """kappa(A) of ``a``."""
+        return kappa(self._matrix())
+
     def dual_minimum(self) -> tuple[float, np.ndarray, str]:
-        """min ||A p|| over unit p in the dual cone, as (value, p, method)."""
+        """min ||A p|| over unit p in the dual cone, as (value, p, method).
+
+        A positive minimum lies in the relative interior of its face F, so
+        restricted to F it is the lambda_min eigenvector of A_F^T A_F,
+        which is singular when |F| > m = rank A.  A dual strict instance
+        therefore solves only supports of at most m coordinates, when
+        RANK_CAP_FACTOR guards that no singular support can be accepted.
+        """
         if self._dual_minimum is None:
-            self._dual_minimum = _min_image_over_dual(self.cone, self._matrix(), self.seed)
+            a = self._matrix()
+            cap = None
+            if (self.status.tag is Feasibility.DUAL_STRICT
+                    and math.sin(self.dual.angle) > RANK_CAP_FACTOR * self.kappa):
+                cap = a.shape[0]
+            self._dual_minimum = _min_image_over_dual(self.cone, a, self.seed, cap)
         return self._dual_minimum
 
     def renegar(self) -> ConditionValue:
@@ -174,7 +198,7 @@ class Analysis:
             return _dual_route(float(np.linalg.norm(self.a, 2)), self.dual_minimum(), "")
         if status.tag is Feasibility.PRIMAL_STRICT:
             grassmann = self.grassmann.value
-            return ConditionValue.interval(grassmann, kappa(self.a) * grassmann, "sandwich")
+            return ConditionValue.interval(grassmann, self.kappa * grassmann, "sandwich")
         return ConditionValue.exact(math.inf, "ill-posed")
 
     def flip_witness(self) -> PerturbationWitness:

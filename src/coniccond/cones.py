@@ -10,8 +10,11 @@ the intersection of a cone with the unit sphere:
   corresponding principal submatrix);
 * an angle maximum ||P_W x|| with a basis B of W (r rows) solves only
   the realizable supports, the cells of the arrangement {B^T y = 0},
-  when REALIZABLE_MIN_DIM <= n and 2r <= n; every other exact extremum
-  solves all 2^n - 1 supports, each the same way;
+  when REALIZABLE_MIN_DIM <= n and 2r <= n; every other maximum solves
+  all 2^n - 1 supports, each the same way;
+* a minimum skips the supports that Cauchy interlacing shows cannot
+  win or tie, and the dual-route minimum of a dual strict instance
+  solves only supports of at most rank(A) coordinates (_max_size);
 * for everything else (Lorentz cones and products involving them) a
   multistart projected-gradient search is used and the spread of the
   best converged values is reported as an uncertainty gap.
@@ -444,7 +447,7 @@ def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
 
 
 def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=None,
-                                realizable=None):
+                                realizable=None, max_size=None):
     """Exact extremum of y^T M y over unit y >= 0 by support enumeration.
 
     The extremizer restricted to its support F is an eigenvector of
@@ -461,18 +464,42 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
     cosines) the enumeration returns after the first size whose best
     accepted value is at angle ``stop_angle`` or below: the best
     candidate of the sizes visited so far, not the maximum.
+
+    With ``max_size`` only supports of at most that many coordinates are
+    solved; the caller vouches that no larger one can be accepted.
+
+    A minimum skips every support T with a one-larger superset S that is
+    dominated: its lambda_min exceeds the best accepted value by more than
+    ``margin``, or it was skipped itself.  By Cauchy interlacing
+    lambda_min(M_T) >= lambda_min(M_S).  A computed eigenvalue errs by
+    about n eps ||M||, far below TIE_TOL max(1, ||M||_inf), so a skipped
+    support's value would exceed the final best by more than TIE_TOL: it
+    could neither win nor tie, and the result keeps its bits.
     """
     n = m_mat.shape[0]
     sym = 0.5 * (m_mat + m_mat.T)
+    if not maximize:
+        dominated = np.zeros(1 << n, dtype=bool)
+        margin = 2.0 * TIE_TOL * max(1.0, float(np.abs(sym).sum(axis=1).max()))
+        bits = np.int64(1) << np.arange(n)
+        best = np.inf
     # Accepted (values, supports, vectors), one entry per support size; a
     # 1x1 eigenvector can always be signed, so size 1 accepts every row.
     accepted_by_size = []
-    for size in range(n, 0, -1):
+    for size in range(n if max_size is None else min(n, max_size), 0, -1):
         combos, masks = _support_table(n, size)
         if realizable is not None:
-            combos = combos[realizable[masks]]
-            if not len(combos):
-                continue
+            keep = realizable[masks]
+        elif maximize:
+            keep = slice(None)
+        else:
+            # Each mask | bit is a one-larger superset, or the mask itself,
+            # which is not marked yet.
+            keep = ~dominated[masks[:, None] | bits].any(axis=1)
+            dominated[masks[~keep]] = True
+        combos, masks = combos[keep], masks[keep]
+        if not len(combos):
+            continue
         subs = sym[combos[:, :, None], combos[:, None, :]]
         eigvals, eigvecs = np.linalg.eigh(subs)
         col = size - 1 if maximize else 0
@@ -483,6 +510,9 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
         accepted = vecs.min(axis=1) >= -SIGNABLE_TOL
         lams = eigvals[accepted, col]
         accepted_by_size.append((lams, combos[accepted], vecs[accepted]))
+        if not maximize:
+            best = min(best, float(lams.min(initial=np.inf)))
+            dominated[masks[eigvals[:, 0] > best + margin]] = True
         if stop_angle is not None and lams.size and _angle_of_cos2(float(lams.max())) <= stop_angle:
             break
     # The value is the plain extremum; the lexicographic tie-break picks
@@ -560,6 +590,7 @@ def extremize_quadratic_over_cone(
     *,
     _stop_angle: float | None = None,
     _basis: np.ndarray | None = None,
+    _max_size: int | None = None,
 ) -> QuadraticExtremum:
     """Extremize x^T M x over the unit vectors of a cone.
 
@@ -569,6 +600,8 @@ def extremize_quadratic_over_cone(
     cone_subspace_angle.  ``_basis`` is a B with M = B^T B (r rows); a
     maximum then solves only realizable supports when
     REALIZABLE_MIN_DIM <= n and 2r <= n, where that route is faster.
+    ``_max_size`` caps the support size the enumeration solves; see
+    Analysis.dual_minimum.
     """
     m_mat = np.asarray(m_mat, dtype=float)
     if m_mat.shape != (cone.dim, cone.dim):
@@ -579,7 +612,7 @@ def extremize_quadratic_over_cone(
         n, realizable = cone.dim, None
         if _basis is not None and maximize and REALIZABLE_MIN_DIM <= n and 2 * len(_basis) <= n:
             realizable = _realizable_supports(_basis * signs)
-        val, y = _enumerate_orthant_extremum(conj, maximize, _stop_angle, realizable)
+        val, y = _enumerate_orthant_extremum(conj, maximize, _stop_angle, realizable, _max_size)
         return QuadraticExtremum(
             value=val, point=signs * y, method="exact", converged_values=np.array([val])
         )

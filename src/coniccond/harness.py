@@ -21,7 +21,7 @@ from .cones import (Cone, Feasibility, Orthant, _stream, classify_feasibility, c
 from .errors import DimensionError, InconsistentClassification, NumericalFailure, RankDeficient
 from .gcc import gcc_condition
 from .grassmann import Subspace, complement, subspace_from_rowspan
-from .linalg import kappa, polar_decompose, require_matrix
+from .linalg import polar_decompose, require_matrix
 from .tolerances import ANGLE_THRESHOLD, BRACKET_OVERSHOOT, SANDWICH_SLACK
 
 THREADS_ENV = "CONIC_COND_THREADS"
@@ -264,7 +264,7 @@ def _run_trial(cfg: ExperimentConfig, cone: Cone, index: int) -> TrialRecord:
         ren = analysis.renegar()
     except (NumericalFailure, InconsistentClassification) as exc:
         return TrialRecord(trial_index=index, status="error", error=f"{type(exc).__name__}: {exc}")
-    kap = kappa(a)
+    kap = analysis.kappa
     lower, upper = ren.bounds()
     return TrialRecord(
         trial_index=index,
@@ -347,7 +347,7 @@ def condition_report(cone: Cone, a, seed: int = 0, include_witnesses: bool = Fal
         "n": n,
         "cone": cone.spec(),
         "status": status.tag.value,
-        "kappa": json_number(kappa(arr)),
+        "kappa": json_number(analysis.kappa),
         "grassmann": json_number(grassmann.value),
         "renegar": analysis.renegar().to_json(),
         "angles": {"primal": status.primal_angle, "dual": status.dual_angle},

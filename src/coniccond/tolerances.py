@@ -51,6 +51,13 @@ SMALL_ANGLE = 1e-4
 # --- Condition numbers and witnesses (condition.py) ---
 # A dual-route minimum at most this times max(1, ||A||) makes the instance ill posed.
 ZERO_DISTANCE = 1e-12
+# The dual-route minimum of a dual strict A (m rows) solves only supports of at most m
+# coordinates when sin(dual angle) exceeds this times kappa(A).  A larger support F is
+# singular (rank A_F <= m), and were it accepted its signable null vector q would give a
+# unit p in the dual cone with ||A p|| <= (sqrt(n eps) + SIGNABLE_TOL sqrt(n)) ||A||, at
+# most 6.4e-8 ||A|| for n <= 16; but ||A p|| >= sigma_m sin(dual angle) > this ||A||.
+# The factor of 15 between the two covers the error of the computed angle.
+RANK_CAP_FACTOR = 1e-6
 # A vector within this of pi/2 to the row span lies in its orthogonal complement.
 COMPLEMENT_BAND = 1e-8
 # The sampled inclusion radius agrees when within this fraction of 1/C(W).

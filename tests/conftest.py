@@ -1,9 +1,12 @@
 """Shared helpers for the test suite."""
 
+import itertools
+
 import numpy as np
 
 from coniccond import polar_decompose
 from coniccond.harness import gaussian_matrix, trial_stream
+from coniccond.tolerances import SIGNABLE_TOL, TIE_TOL
 
 
 def stream(seed, index=0):
@@ -27,3 +30,31 @@ def random_spd(rng, m, lo=0.5, hi=4.0):
     q = random_orthogonal(rng, m)
     eigs = lo + (hi - lo) * rng.random(m)
     return (q * eigs) @ q.T
+
+
+def full_orthant_minimum(m_mat):
+    """min y^T M y over unit y >= 0, solving every support: no pruning, no size cap.
+
+    The reference for the library's enumeration: each support's lambda_min
+    eigenvector, signed by its largest entry, is accepted when it dips at
+    most SIGNABLE_TOL below zero; the value is the least accepted
+    eigenvalue and the witness comes from the lexicographically smallest
+    support within TIE_TOL of it.
+    """
+    n = m_mat.shape[0]
+    sym = 0.5 * (m_mat + m_mat.T)
+    candidates = []
+    for size in range(n, 0, -1):
+        combos = np.array(list(itertools.combinations(range(n), size)))
+        eigvals, eigvecs = np.linalg.eigh(sym[combos[:, :, None], combos[:, None, :]])
+        for lam, support, vec in zip(eigvals[:, 0], combos, eigvecs[:, :, 0]):
+            if vec[np.argmax(np.abs(vec))] < 0.0:
+                vec = -vec
+            if vec.min() >= -SIGNABLE_TOL:
+                candidates.append((float(lam), tuple(support.tolist()), vec))
+    best = min(lam for lam, _, _ in candidates)
+    _, support, vec = min((c for c in candidates if abs(c[0] - best) <= TIE_TOL),
+                          key=lambda c: c[1])
+    point = np.zeros(n)
+    point[list(support)] = np.maximum(vec, 0.0)
+    return best, point / np.linalg.norm(point)

@@ -5,8 +5,10 @@ Run from the repository root, only when an output change is intended:
     PYTHONPATH=src python tests/data/make_golden.py
 
 It writes tests/data/golden_reports.jsonl (one condition report per fixed
-matrix, with and without witnesses) and tests/data/golden_experiment.jsonl
-(the records of ExperimentConfig(n=8, m=4, trials=40, seed=0)).
+matrix, with and without witnesses), tests/data/golden_experiment.jsonl
+(the records of ExperimentConfig(n=8, m=4, trials=40, seed=0)) and
+tests/data/golden_experiment_n12.jsonl (the records of
+ExperimentConfig(n=12, m=m, trials=12, seed=0) for m = 6, then m = 9).
 """
 
 import json
@@ -28,6 +30,8 @@ CASES = (
     ("lorentz-4-dual", "lorentz:4", [[0.1, 0.0, 0.2, 1.0], [0.0, 1.0, 0.1, 0.3]]),
 )
 EXPERIMENT = dict(n=8, m=4, trials=40, seed=0)
+# Dual strict trials at n = 12 take the pruned, rank-capped dual-route minimum.
+EXPERIMENT_N12 = tuple(dict(n=12, m=m, trials=12, seed=0) for m in (6, 9))
 
 
 def report_lines():
@@ -39,11 +43,19 @@ def report_lines():
                               "report": json.dumps(report, sort_keys=True)}) + "\n"
 
 
+def experiment_n12_lines():
+    for config in EXPERIMENT_N12:
+        for record in run_experiment(ExperimentConfig(**config)):
+            yield json.dumps(record.to_json(), sort_keys=True) + "\n"
+
+
 def main():
     (DATA / "golden_reports.jsonl").write_text("".join(report_lines()), encoding="utf-8")
     os.environ.pop("CONIC_COND_THREADS", None)
     run_experiment(ExperimentConfig(**EXPERIMENT,
                                     output_path=str(DATA / "golden_experiment.jsonl")))
+    (DATA / "golden_experiment_n12.jsonl").write_text("".join(experiment_n12_lines()),
+                                                      encoding="utf-8")
 
 
 if __name__ == "__main__":

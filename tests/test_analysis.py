@@ -36,6 +36,7 @@ DATA = Path(__file__).resolve().parent / "data"
 GOLDEN_REPORTS = [json.loads(line) for line in (DATA / "golden_reports.jsonl").open()]
 # From tests/data/make_golden.py.
 GOLDEN_EXPERIMENT = dict(n=8, m=4, trials=40, seed=0)
+GOLDEN_EXPERIMENT_N12 = tuple(dict(n=12, m=m, trials=12, seed=0) for m in (6, 9))
 
 DUAL_STRICT = np.array([[1.0, 2.0, 0.5, 1.5], [0.3, -1.0, 1.2, 0.4]])
 PRIMAL_STRICT = np.array([[1.0, -2.0, 0.5, 0.0], [0.0, 1.0, -1.5, -0.4]])
@@ -124,6 +125,13 @@ class TestGolden:
         out = tmp_path / "records.jsonl"
         run_experiment(ExperimentConfig(**GOLDEN_EXPERIMENT, output_path=str(out)))
         assert out.read_bytes() == (DATA / "golden_experiment.jsonl").read_bytes()
+
+    def test_experiment_n12_bytes(self, no_threads):
+        # Dual strict trials here take the pruned, rank-capped dual-route minimum.
+        lines = [json.dumps(record.to_json(), sort_keys=True) + "\n"
+                 for config in GOLDEN_EXPERIMENT_N12
+                 for record in run_experiment(ExperimentConfig(**config))]
+        assert "".join(lines) == (DATA / "golden_experiment_n12.jsonl").read_text(encoding="utf-8")
 
 
 def _views(cone, a) -> dict:

@@ -1,0 +1,126 @@
+"""The dual-route minimum: interlacing prune and rank cap, bit for bit against every support."""
+
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import coniccond.cones
+from coniccond import (Feasibility, Negated, Orthant, Product, RankDeficient, analyze,
+                       distance_to_primal_feasible)
+from coniccond.cones import _orthant_signs, dual_cone
+from coniccond.tolerances import RANK_CAP_FACTOR
+from conftest import full_orthant_minimum, random_matrix, stream
+
+
+def _reference(cone, a):
+    """(value, p) of min ||A p|| over unit p in the dual cone, every support solved."""
+    signs = _orthant_signs(dual_cone(cone))
+    value, y = full_orthant_minimum(signs[:, None] * (a.T @ a) * signs[None, :])
+    return float(np.sqrt(max(value, 0.0))), signs * y
+
+
+@st.composite
+def instances(draw):
+    """An orthant-like cone with n <= 12 and an m x n matrix, m < n, often near-degenerate."""
+    blocks = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 6)), min_size=1, max_size=3)
+                  .filter(lambda b: 2 <= sum(k for _, k in b) <= 12))
+    factors = [Orthant(k) if positive else Negated(Orthant(k)) for positive, k in blocks]
+    cone = factors[0] if len(factors) == 1 else Product(factors)
+    n = cone.dim
+    m = draw(st.integers(1, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((m, n))
+    kind = draw(st.sampled_from(["gaussian", "column scales", "near-opposite columns",
+                                 "near-equal rows"]))
+    if kind == "column scales":
+        a *= np.exp(1.5 * rng.standard_normal(n))
+    elif kind == "near-opposite columns":
+        i, j = rng.choice(n, 2, replace=False)
+        eps = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
+        a[:, i] = -a[:, j] + eps * rng.standard_normal(m)
+    elif kind == "near-equal rows" and m >= 2:
+        # kappa(A) near 1e6, or near 1e8, where the rank cap must be refused.
+        i, j = rng.choice(m, 2, replace=False)
+        step = rng.standard_normal(n)
+        scale = draw(st.sampled_from([1e-6, 1e-8]))
+        a[i] = a[j] + scale * np.linalg.norm(a[j]) * step / np.linalg.norm(step)
+    return cone, a
+
+
+def _solve_counted(monkeypatch, call):
+    """call(), and a Counter of the support sizes of every matrix eigh solved in it."""
+    original, sizes = np.linalg.eigh, Counter()
+
+    def counted(subs):
+        sizes[subs.shape[-1]] += len(subs)
+        return original(subs)
+
+    monkeypatch.setattr(coniccond.cones.np.linalg, "eigh", counted)
+    try:
+        return call(), sizes
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.fixture
+def dual_strict():
+    """A Gaussian dual strict (12, 6) instance whose dual-route minimum is capped at m."""
+    a = random_matrix(stream(0), 6, 12)
+    analysis = analyze(Orthant(12), None, a=a)
+    assert analysis.status.tag is Feasibility.DUAL_STRICT
+    assert math.sin(analysis.dual.angle) > RANK_CAP_FACTOR * analysis.kappa
+    return a, analysis
+
+
+class TestAgainstEverySupport:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(instances())
+    def test_dual_minimum_is_the_full_enumeration_bit_for_bit(self, instance):
+        cone, a = instance
+        try:
+            analysis = analyze(cone, None, a=a)
+        except RankDeficient:
+            assume(False)
+        value, p, method = analysis.dual_minimum()
+        ref_value, ref_p = _reference(cone, a)
+        assert method == "exact"
+        assert value == ref_value
+        assert np.array_equal(p, ref_p)
+
+
+class TestSolvedSupports:
+    def test_capped_minimum_solves_no_support_above_m(self, monkeypatch, dual_strict):
+        a, analysis = dual_strict
+        (value, p, _), sizes = _solve_counted(monkeypatch, analysis.dual_minimum)
+        assert max(sizes) == 6
+        assert sum(sizes.values()) < 2**12 - 1
+        ref_value, ref_p = _reference(Orthant(12), a)
+        assert value == ref_value
+        assert np.array_equal(p, ref_p)
+
+    def test_guard_refuses_a_large_condition_and_solves_every_size(self, monkeypatch,
+                                                                   dual_strict):
+        a, _ = dual_strict
+        a = a.copy()
+        a[0] *= 1e-7
+        analysis = analyze(Orthant(12), None, a=a)
+        assert analysis.status.tag is Feasibility.DUAL_STRICT
+        assert analysis.kappa >= 1e7
+        (value, p, _), sizes = _solve_counted(monkeypatch, analysis.dual_minimum)
+        # Every support above m is singular, so none is pruned.
+        assert all(sizes[size] == math.comb(12, size) for size in range(7, 13))
+        ref_value, ref_p = _reference(Orthant(12), a)
+        assert value == ref_value
+        assert np.array_equal(p, ref_p)
+
+    def test_distance_to_primal_feasible_keeps_every_size(self, monkeypatch, dual_strict):
+        a, _ = dual_strict
+        value, sizes = _solve_counted(monkeypatch,
+                                      lambda: distance_to_primal_feasible(Orthant(12), a))
+        assert all(sizes[size] == math.comb(12, size) for size in range(7, 13))
+        assert sum(sizes.values()) < 2**12 - 1
+        assert value == _reference(Orthant(12), a)[0]
