@@ -395,7 +395,7 @@ def inclusion_radius_check(
             dirs /= np.linalg.norm(dirs, axis=1)[:, None]
             chunk_index += 1
             drawn += take
-        supports = np.linalg.norm(dual.project_many(dirs @ basis), axis=1)
+        supports = np.linalg.norm(dual.project(dirs @ basis), axis=1)
         estimate = min(estimate, float(supports.min()))
     reference = math.sin(status.primal_angle)
     agreement = abs(estimate - reference) <= INCLUSION_AGREEMENT * reference

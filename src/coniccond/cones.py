@@ -78,11 +78,7 @@ class Cone(abc.ABC):
 
     @abc.abstractmethod
     def project(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean projection onto the cone."""
-
-    @abc.abstractmethod
-    def project_many(self, x: np.ndarray) -> np.ndarray:
-        """Row-wise Euclidean projection of a (count, dim) array."""
+        """Euclidean projection of a point, or of each row of a (count, dim) stack."""
 
     def dual(self) -> "Cone":
         """The cone of directions with nonpositive inner product against self.
@@ -126,8 +122,6 @@ class Orthant(Cone):
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.maximum(np.asarray(x, dtype=float), 0.0)
 
-    project_many = project
-
     def sample_units(self, rng: np.random.Generator, count: int) -> np.ndarray:
         # Absolute Gaussians, half of them restricted to a random
         # coordinate face: minima of angle functionals often sit on
@@ -169,29 +163,30 @@ class Lorentz(Cone):
 
     def project(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        head, t = x[:-1], float(x[-1])
-        r = float(np.linalg.norm(head))
-        if r <= t:
-            return x.copy()
-        if r <= -t:
-            return np.zeros_like(x)
-        coeff = 0.5 * (r + t)
-        out = np.empty_like(x)
-        out[:-1] = head * (coeff / r)
-        out[-1] = coeff
-        return out
-
-    def project_many(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            # One point, multistart's per-step call: scalar arithmetic is
+            # several times faster than the row-wise body below.
+            head, t = x[:-1], float(x[-1])
+            r = float(np.linalg.norm(head))
+            if r <= t:
+                return x.copy()
+            if r <= -t:
+                return np.zeros_like(x)
+            coeff = 0.5 * (r + t)
+            out = np.empty_like(x)
+            out[:-1] = head * (coeff / r)
+            out[-1] = coeff
+            return out
         head, t = x[:, :-1], x[:, -1]
-        r = np.linalg.norm(head, axis=1)
+        # Row norms as dot products, the way np.linalg.norm takes the norm
+        # of one vector, so each row projects to the same bits as the point.
+        r = np.sqrt(np.matmul(head[:, None, :], head[:, :, None])[:, 0, 0])
         out = x.copy()
-        zero = r <= -t
-        out[zero] = 0.0
-        mid = (~zero) & (r > t)
+        outside = r > t
+        out[outside & (r <= -t)] = 0.0
+        mid = outside & (r > -t)
         coeff = 0.5 * (r[mid] + t[mid])
-        safe_r = np.where(r[mid] > 0.0, r[mid], 1.0)
-        out[mid, :-1] = head[mid] * (coeff / safe_r)[:, None]
+        out[mid, :-1] = head[mid] * (coeff / r[mid])[:, None]
         out[mid, -1] = coeff
         return out
 
@@ -247,13 +242,7 @@ class Product(Cone):
 
     def project(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.concatenate([cone.project(block) for cone, block in self._blocks(x)])
-
-    def project_many(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.concatenate(
-            [cone.project_many(block) for cone, block in self._blocks(x)], axis=1
-        )
+        return np.concatenate([cone.project(block) for cone, block in self._blocks(x)], axis=-1)
 
     def sample_units(self, rng: np.random.Generator, count: int) -> np.ndarray:
         parts = []
@@ -297,9 +286,6 @@ class Negated(Cone):
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return -self._inner.project(-np.asarray(x, dtype=float))
-
-    def project_many(self, x: np.ndarray) -> np.ndarray:
-        return -self._inner.project_many(-np.asarray(x, dtype=float))
 
     def dual(self) -> Cone:
         """The dual of -C is C, since C is self-dual."""

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condition import analyze, iteration_bound_estimate, json_number, witness_image
-from .cones import (Cone, Feasibility, Orthant, _stream, classify_feasibility, cone_subspace_angle,
-                    dual_cone, parse_cone)
+from .cones import (Cone, Feasibility, Orthant, _angle_of_cos2, _stream, classify_feasibility,
+                    cone_subspace_angle, dual_cone, parse_cone)
 from .errors import DimensionError, InconsistentClassification, NumericalFailure, RankDeficient
 from .gcc import gcc_condition
 from .grassmann import Subspace, complement, subspace_from_rowspan
@@ -108,8 +108,7 @@ def oracle_cone_angle(cone: Cone, w: Subspace, samples: int = 1_000_000, seed: i
         drawn += take
         cosines = np.linalg.norm(pts @ basis.T, axis=1)
         best_cos = max(best_cos, float(cosines.max()))
-    best_cos = min(best_cos, 1.0)
-    return float(np.arctan2(math.sqrt(max(0.0, 1.0 - best_cos**2)), best_cos))
+    return _angle_of_cos2(best_cos**2)
 
 
 def _make_flip_checker(cone: Cone, tag0, seed: int):
@@ -309,8 +308,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
         from concurrent.futures import ThreadPoolExecutor  # only thread pools need it
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
+            # map yields the results in input order, so records stay in trial order.
             records = list(pool.map(lambda i: _run_trial(cfg, cone, i), indices))
-    records.sort(key=lambda r: r.trial_index)
     if cfg.output_path:
         with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as handle:
             for record in records:

@@ -4,13 +4,23 @@ import itertools
 
 import numpy as np
 
-from coniccond import polar_decompose
+from coniccond import Negated, Orthant, Product, polar_decompose, subspace_from_rowspan
 from coniccond.harness import gaussian_matrix, trial_stream
 from coniccond.tolerances import SIGNABLE_TOL, TIE_TOL
 
 
 def stream(seed, index=0):
     return trial_stream(seed, index)
+
+
+def span(*rows):
+    return subspace_from_rowspan(np.array(rows, dtype=float))
+
+
+def orthant_like(blocks):
+    """Product of orthants (True) and negated orthants (False) of the given sizes."""
+    factors = [Orthant(k) if positive else Negated(Orthant(k)) for positive, k in blocks]
+    return factors[0] if len(factors) == 1 else Product(factors)
 
 
 def random_matrix(rng, m, n):

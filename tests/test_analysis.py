@@ -33,7 +33,8 @@ from coniccond.cli import main
 from coniccond.condition import json_number
 
 DATA = Path(__file__).resolve().parent / "data"
-GOLDEN_REPORTS = [json.loads(line) for line in (DATA / "golden_reports.jsonl").open()]
+GOLDEN_REPORTS = [json.loads(line) for line in
+                  (DATA / "golden_reports.jsonl").read_text().splitlines()]
 # From tests/data/make_golden.py.
 GOLDEN_EXPERIMENT = dict(n=8, m=4, trials=40, seed=0)
 GOLDEN_EXPERIMENT_N12 = tuple(dict(n=12, m=m, trials=12, seed=0) for m in (6, 9))

@@ -11,9 +11,7 @@ import coniccond.cones
 from coniccond import (
     InconsistentClassification,
     Lorentz,
-    Negated,
     Orthant,
-    Product,
     analyze,
     angle_point_subspace,
     classify_feasibility,
@@ -23,12 +21,7 @@ from coniccond import (
 )
 from coniccond.cones import (ANGLE_THRESHOLD, _angle_of_cos2, _enumerate_orthant_extremum,
                              _orthant_signs, primal_dual_angles)
-
-
-def _orthant_like(blocks):
-    """Product of orthants (True) and negated orthants (False) of the given sizes."""
-    factors = [Orthant(k) if positive else Negated(Orthant(k)) for positive, k in blocks]
-    return factors[0] if len(factors) == 1 else Product(factors)
+from conftest import orthant_like
 
 
 @st.composite
@@ -40,7 +33,7 @@ def instances(draw):
     """
     blocks = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 4)), min_size=1, max_size=3)
                   .filter(lambda b: 2 <= sum(k for _, k in b) <= 8))
-    cone = _orthant_like(blocks)
+    cone = orthant_like(blocks)
     n = cone.dim
     m = draw(st.integers(1, n - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

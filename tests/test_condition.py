@@ -5,6 +5,7 @@ import pytest
 
 from coniccond import (
     Feasibility,
+    Lorentz,
     NotBalanced,
     NotDualFeasible,
     NotPrimalFeasible,
@@ -19,6 +20,7 @@ from coniccond import (
     inclusion_radius_check,
     iteration_bound_estimate,
     kappa,
+    parse_cone,
     renegar_condition,
     sigma_distances,
     subspace_from_rowspan,
@@ -27,13 +29,9 @@ from coniccond import (
     witness_kernel,
 )
 from coniccond.grassmann import angle_point_subspace
-from conftest import random_balanced, random_matrix, random_spd, stream
+from conftest import random_balanced, random_matrix, random_spd, span, stream
 
 SQ2 = math.sqrt(2.0)
-
-
-def span(*rows):
-    return subspace_from_rowspan(np.array(rows, dtype=float))
 
 
 class TestGrassmannCondition:
@@ -330,6 +328,28 @@ class TestInclusionRadius:
     def test_rejects_dual_feasible(self):
         with pytest.raises(NotPrimalFeasible):
             inclusion_radius_check(Orthant(2), span([1, 1]), samples=2000)
+
+    # Lorentz instances send the direction stack through the row-wise
+    # Lorentz projection.  The cone has axis e_n and half-aperture pi/4, so
+    # a primal strict W lies at angle(e_n, W) - pi/4 from it.
+    def test_lorentz_line(self):
+        est, ok = inclusion_radius_check(Lorentz(3), span([1, 0, 0]), samples=2000, seed=1)
+        assert ok is True and est == pytest.approx(math.sin(math.pi / 4), rel=0.1)
+
+    def test_lorentz_plane(self):
+        w = span([1, 0, 0, 0], [0, 1, 0, 0.5])
+        angle = angle_point_subspace([0, 0, 0, 1], w) - math.pi / 4
+        est, ok = inclusion_radius_check(Lorentz(4), w, samples=2000, seed=1)
+        assert ok is True and est == pytest.approx(math.sin(angle), rel=0.1)
+
+    def test_product_line(self):
+        # For a line, cos angle(C, W) is the larger projection norm of +-v.
+        cone = parse_cone("product(orthant:2,lorentz:3)")
+        v = np.array([1.0, -1.0, 0.3, 0.2, 0.1])
+        v /= np.linalg.norm(v)
+        cos = max(np.linalg.norm(cone.project(v)), np.linalg.norm(cone.project(-v)))
+        est, ok = inclusion_radius_check(cone, span(v), samples=2000, seed=1)
+        assert ok is True and est == pytest.approx(math.sqrt(1.0 - cos * cos), rel=0.1)
 
 
 class TestIterationBound:

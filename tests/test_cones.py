@@ -27,13 +27,9 @@ from coniccond import (
     subspace_from_rowspan,
 )
 from coniccond.cones import primal_dual_angles
-from conftest import random_matrix, stream
+from conftest import random_matrix, span, stream
 
 SQ2 = math.sqrt(2.0)
-
-
-def span(*rows):
-    return subspace_from_rowspan(np.array(rows, dtype=float))
 
 
 class TestMembership:
@@ -104,14 +100,15 @@ class TestProjection:
             dists = np.linalg.norm(others - x, axis=1)
             assert np.linalg.norm(p - x) <= dists.min() + 1e-9
 
-    def test_project_many_matches_scalar(self):
+    def test_stack_matches_points(self):
+        # A (count, dim) stack projects each row to the same bits as the row alone.
         rng = stream(43)
-        for cone in (Orthant(4), Lorentz(4), Negated(Lorentz(4)),
-                     Product([Orthant(1), Lorentz(3)])):
-            xs = rng.standard_normal((100, cone.dim))
-            batch = cone.project_many(xs)
-            for x, row in zip(xs, batch):
-                np.testing.assert_allclose(cone.project(x), row, atol=1e-12)
+        cones = [Lorentz(n) for n in range(2, 9)]
+        cones += [Negated(Lorentz(4)), Product([Orthant(1), Lorentz(3)]), Orthant(4)]
+        for cone in cones:
+            xs = rng.standard_normal((1000, cone.dim))
+            points = np.array([cone.project(x) for x in xs])
+            np.testing.assert_array_equal(cone.project(xs), points, err_msg=cone.spec())
 
 
 class TestParse:

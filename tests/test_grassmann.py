@@ -15,13 +15,9 @@ from coniccond import (
     principal_angles,
     subspace_from_rowspan,
 )
-from conftest import random_balanced, random_matrix, random_orthogonal, stream
+from conftest import random_balanced, random_matrix, random_orthogonal, span, stream
 
 SQ2 = math.sqrt(2.0)
-
-
-def span(*rows):
-    return subspace_from_rowspan(np.array(rows, dtype=float))
 
 
 class TestSubspace:

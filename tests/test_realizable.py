@@ -8,16 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import coniccond.cones
-from coniccond import Negated, Orthant, Product, Subspace, cone_subspace_angle
+from coniccond import Orthant, Subspace, cone_subspace_angle
 from coniccond.cones import (REALIZABLE_MIN_DIM, _angle_of_cos2, _enumerate_orthant_extremum,
                              _orthant_signs, _realizable_supports, extremize_quadratic_over_cone)
-from conftest import full_orthant_minimum
-
-
-def _orthant_like(blocks):
-    """Product of orthants (True) and negated orthants (False) of the given sizes."""
-    factors = [Orthant(k) if positive else Negated(Orthant(k)) for positive, k in blocks]
-    return factors[0] if len(factors) == 1 else Product(factors)
+from conftest import full_orthant_minimum, orthant_like
 
 
 def _row_basis(a):
@@ -44,7 +38,7 @@ def arrangements(draw):
     """
     blocks = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 6)), min_size=1, max_size=3)
                   .filter(lambda b: 2 <= sum(k for _, k in b) <= 12))
-    cone = _orthant_like(blocks)
+    cone = orthant_like(blocks)
     n = cone.dim
     r = draw(st.integers(1, n - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
