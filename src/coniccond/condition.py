@@ -370,7 +370,8 @@ def inclusion_radius_check(
     minimum over unit directions y of W of the support of K along y,
     and the support along y equals the norm of the dual-cone projection
     of y.  The sweep covers a deterministic direction grid with angular
-    resolution INCLUSION_GRID_RESOLUTION plus ``samples`` random directions.
+    resolution INCLUSION_GRID_RESOLUTION plus ``samples`` random directions;
+    a line (m = 1) takes only its grid, +-1, the whole unit sphere of W.
     Agreement means within 10 percent of 1/C(W).
     """
     if samples < 1000:
@@ -379,24 +380,18 @@ def inclusion_radius_check(
     if status.tag is not Feasibility.PRIMAL_STRICT:
         raise NotPrimalFeasible(f"instance classified as {status.tag.value}")
     dual = dual_cone(cone)
-    basis = w.basis
     m = w.dim
 
-    estimate = math.inf
-    grid = _direction_grid(m, INCLUSION_GRID_RESOLUTION, seed)
-    drawn = 0
-    chunk_index = 0
-    while grid is not None or drawn < samples:
-        if grid is not None:
-            dirs, grid = grid, None
-        else:
-            take = min(100_000, samples - drawn)
-            dirs = _stream(seed, chunk_index).standard_normal((take, m))
-            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-            chunk_index += 1
-            drawn += take
-        supports = np.linalg.norm(dual.project(dirs @ basis), axis=1)
-        estimate = min(estimate, float(supports.min()))
+    def directions():
+        yield _direction_grid(m, INCLUSION_GRID_RESOLUTION, seed)
+        if m == 1:
+            return  # +-1 is the whole unit sphere of a line
+        for chunk_index, drawn in enumerate(range(0, samples, 100_000)):
+            dirs = _stream(seed, chunk_index).standard_normal((min(100_000, samples - drawn), m))
+            yield dirs / np.linalg.norm(dirs, axis=1)[:, None]
+
+    estimate = min(float(np.linalg.norm(dual.project(dirs @ w.basis), axis=1).min())
+                   for dirs in directions())
     reference = math.sin(status.primal_angle)
     agreement = abs(estimate - reference) <= INCLUSION_AGREEMENT * reference
     return estimate, agreement

@@ -67,6 +67,10 @@ def _stream(seed: int, index: int) -> np.random.Generator:
 class Cone(abc.ABC):
     """A regular cone in R^n: closed, convex, solid, pointed."""
 
+    # The sign vector d with x in C iff d*x >= 0 (read-only), or None if
+    # C is not of that form; such cones take the exact enumeration.
+    orthant_signs: np.ndarray | None = None
+
     @property
     @abc.abstractmethod
     def dim(self) -> int:
@@ -110,6 +114,8 @@ class Orthant(Cone):
         if n < 1:
             raise DimensionError(f"orthant dimension must be >= 1, got {n}")
         self._n = int(n)
+        self.orthant_signs = np.ones(self._n)
+        self.orthant_signs.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -223,6 +229,10 @@ class Product(Cone):
             raise DimensionError("product cone needs at least one factor")
         self._factors = factors
         self._offsets = np.cumsum([0] + [c.dim for c in factors])
+        signs = [c.orthant_signs for c in factors]
+        if all(d is not None for d in signs):
+            self.orthant_signs = np.concatenate(signs)
+            self.orthant_signs.flags.writeable = False
 
     @property
     def factors(self) -> tuple[Cone, ...]:
@@ -272,6 +282,9 @@ class Negated(Cone):
 
     def __init__(self, inner: Cone):
         self._inner = inner
+        if inner.orthant_signs is not None:
+            self.orthant_signs = -inner.orthant_signs
+            self.orthant_signs.flags.writeable = False
 
     @property
     def inner(self) -> Cone:
@@ -349,21 +362,6 @@ def parse_cone(text: str) -> Cone:
     if name == "lorentz":
         return Lorentz(n)
     raise ConeSpecError(f"unknown cone {name!r} in {text!r}")
-
-
-def _orthant_signs(cone: Cone):
-    """Sign vector d with x in C iff d*x >= 0, or None if C is not of that form."""
-    if isinstance(cone, Orthant):
-        return np.ones(cone.dim)
-    if isinstance(cone, Negated):
-        inner = _orthant_signs(cone.inner)
-        return None if inner is None else -inner
-    if isinstance(cone, Product):
-        blocks = [_orthant_signs(f) for f in cone.factors]
-        if any(b is None for b in blocks):
-            return None
-        return np.concatenate(blocks)
-    return None
 
 
 @dataclass(frozen=True)
@@ -454,18 +452,20 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
     With ``max_size`` only supports of at most that many coordinates are
     solved; the caller vouches that no larger one can be accepted.
 
-    A minimum skips every support T with a one-larger superset S that is
-    dominated: its lambda_min exceeds the best accepted value by more than
-    ``margin``, or it was skipped itself.  By Cauchy interlacing
-    lambda_min(M_T) >= lambda_min(M_S).  A computed eigenvalue errs by
-    about n eps ||M||, far below TIE_TOL max(1, ||M||_inf), so a skipped
-    support's value would exceed the final best by more than TIE_TOL: it
-    could neither win nor tie, and the result keeps its bits.
+    Every route keeps one table of skipped supports, which starts as the
+    supports ``realizable`` leaves out.  A minimum also skips every
+    support T with a one-larger superset S that was skipped itself or
+    whose lambda_min exceeds the best accepted value by more than
+    ``margin``.  By Cauchy interlacing lambda_min(M_T) >= lambda_min(M_S).
+    A computed eigenvalue errs by about n eps ||M||, far below
+    TIE_TOL max(1, ||M||_inf), so a skipped support's value would exceed
+    the final best by more than TIE_TOL: it could neither win nor tie,
+    and the result keeps its bits.
     """
     n = m_mat.shape[0]
     sym = 0.5 * (m_mat + m_mat.T)
+    skipped = np.zeros(1 << n, dtype=bool) if realizable is None else ~realizable
     if not maximize:
-        dominated = np.zeros(1 << n, dtype=bool)
         margin = 2.0 * TIE_TOL * max(1.0, float(np.abs(sym).sum(axis=1).max()))
         bits = np.int64(1) << np.arange(n)
         best = np.inf
@@ -474,15 +474,10 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
     accepted_by_size = []
     for size in range(n if max_size is None else min(n, max_size), 0, -1):
         combos, masks = _support_table(n, size)
-        if realizable is not None:
-            keep = realizable[masks]
-        elif maximize:
-            keep = slice(None)
-        else:
-            # Each mask | bit is a one-larger superset, or the mask itself,
-            # which is not marked yet.
-            keep = ~dominated[masks[:, None] | bits].any(axis=1)
-            dominated[masks[~keep]] = True
+        if not maximize:
+            # Each mask | bit is a one-larger superset, or the mask itself.
+            skipped[masks] = skipped[masks[:, None] | bits].any(axis=1)
+        keep = ~skipped[masks]
         combos, masks = combos[keep], masks[keep]
         if not len(combos):
             continue
@@ -498,7 +493,7 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
         accepted_by_size.append((lams, combos[accepted], vecs[accepted]))
         if not maximize:
             best = min(best, float(lams.min(initial=np.inf)))
-            dominated[masks[eigvals[:, 0] > best + margin]] = True
+            skipped[masks[eigvals[:, 0] > best + margin]] = True
         if stop_angle is not None and lams.size and _angle_of_cos2(float(lams.max())) <= stop_angle:
             break
     # The value is the plain extremum; the lexicographic tie-break picks
@@ -581,7 +576,8 @@ def extremize_quadratic_over_cone(
     """Extremize x^T M x over the unit vectors of a cone.
 
     Exact support enumeration when the cone is sign-isomorphic to an
-    orthant of dimension <= EXACT_ENUM_LIMIT, multistart otherwise.
+    orthant (Cone.orthant_signs) of dimension <= EXACT_ENUM_LIMIT,
+    multistart otherwise.
     ``_stop_angle`` lets the enumeration stop early; see
     cone_subspace_angle.  ``_basis`` is a B with M = B^T B (r rows); a
     maximum then solves only realizable supports when
@@ -592,7 +588,7 @@ def extremize_quadratic_over_cone(
     m_mat = np.asarray(m_mat, dtype=float)
     if m_mat.shape != (cone.dim, cone.dim):
         raise DimensionError(f"matrix shape {m_mat.shape} != cone dimension {cone.dim}")
-    signs = _orthant_signs(cone)
+    signs = cone.orthant_signs
     if signs is not None and cone.dim <= EXACT_ENUM_LIMIT:
         conj = signs[:, None] * m_mat * signs[None, :]
         n, realizable = cone.dim, None

@@ -111,30 +111,6 @@ def oracle_cone_angle(cone: Cone, w: Subspace, samples: int = 1_000_000, seed: i
     return _angle_of_cos2(best_cos**2)
 
 
-def _make_flip_checker(cone: Cone, tag0, seed: int):
-    """Predicate deciding whether a perturbation changes the feasibility tag.
-
-    Leaving a strict class is decided by that class's own angle alone,
-    which halves the classification work per probe.
-    """
-    dual = dual_cone(cone)
-
-    def flips(perturbed: np.ndarray) -> bool:
-        try:
-            w = subspace_from_rowspan(perturbed)
-        except RankDeficient:
-            # Rank deficiency means dual feasibility, so it only counts
-            # as a flip away from a strictly primal instance.
-            return tag0 is Feasibility.PRIMAL_STRICT
-        if tag0 is Feasibility.PRIMAL_STRICT:
-            return cone_subspace_angle(cone, w, seed=seed).angle <= ANGLE_THRESHOLD
-        if tag0 is Feasibility.DUAL_STRICT:
-            return cone_subspace_angle(dual, complement(w), seed=seed).angle <= ANGLE_THRESHOLD
-        return classify_feasibility(cone, w, seed=seed).tag is not tag0
-
-    return flips
-
-
 def oracle_perturbation_bracket(cone: Cone, a, budget: int = 2000, seed: int = 0) -> float:
     """Smallest spectral norm found for a feasibility-flipping perturbation.
 
@@ -155,10 +131,25 @@ def oracle_perturbation_bracket(cone: Cone, a, budget: int = 2000, seed: int = 0
     spectral = float(np.linalg.norm(arr, 2))
     best = math.inf
 
-    check = _make_flip_checker(cone, tag0, seed)
+    dual = dual_cone(cone)
 
     def flips(delta: np.ndarray) -> bool:
-        return check(arr + delta)
+        """Whether A + delta has another feasibility tag than A.
+
+        Leaving a strict class is decided by that class's own angle
+        alone, which halves the classification work per probe.
+        """
+        try:
+            w = subspace_from_rowspan(arr + delta)
+        except RankDeficient:
+            # Rank deficiency means dual feasibility, so it only counts
+            # as a flip away from a strictly primal instance.
+            return tag0 is Feasibility.PRIMAL_STRICT
+        if tag0 is Feasibility.PRIMAL_STRICT:
+            return cone_subspace_angle(cone, w, seed=seed).angle <= ANGLE_THRESHOLD
+        if tag0 is Feasibility.DUAL_STRICT:
+            return cone_subspace_angle(dual, complement(w), seed=seed).angle <= ANGLE_THRESHOLD
+        return classify_feasibility(cone, w, seed=seed).tag is not tag0
 
     # Witness-guided candidates realize the exact distance when available.
     guided = []

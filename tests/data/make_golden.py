@@ -28,6 +28,10 @@ CASES = (
     ("orthant-balanced-primal", "orthant:4", [[0.5, -0.5, 0.5, -0.5], [0.5, 0.5, -0.5, -0.5]]),
     ("lorentz-4-primal", "lorentz:4", [[1.0, 0.2, -0.3, 0.1], [0.0, 1.0, 0.5, 0.2]]),
     ("lorentz-4-dual", "lorentz:4", [[0.1, 0.0, 0.2, 1.0], [0.0, 1.0, 0.1, 0.3]]),
+    ("product-dual-strict", "product(orthant:2,orthant:3)",
+     [[1.0, 2.0, 0.5, 1.5, 0.7], [0.3, -1.0, 1.2, 0.4, -0.2]]),
+    ("product-primal-strict", "product(orthant:2,orthant:3)",
+     [[1.0, -2.0, 0.5, 0.0, -0.3], [0.0, 1.0, -1.5, -0.4, 0.8]]),
 )
 EXPERIMENT = dict(n=8, m=4, trials=40, seed=0)
 # Dual strict trials at n = 12 take the pruned, rank-capped dual-route minimum.

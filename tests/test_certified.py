@@ -20,7 +20,7 @@ from coniccond import (
     subspace_from_rowspan,
 )
 from coniccond.cones import (ANGLE_THRESHOLD, _angle_of_cos2, _enumerate_orthant_extremum,
-                             _orthant_signs, primal_dual_angles)
+                             primal_dual_angles)
 from conftest import orthant_like
 
 
@@ -43,7 +43,7 @@ def instances(draw):
         face = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.6)
         zero, nonzero = rng.permutation(n)[:2]
         face[zero], face[nonzero] = 0.0, 1.0
-        a[0] = _orthant_signs(cone) * face + eps * rng.standard_normal(n)
+        a[0] = cone.orthant_signs * face + eps * rng.standard_normal(n)
     return cone, subspace_from_rowspan(a)
 
 

@@ -6,6 +6,7 @@ import pytest
 from coniccond import (
     Feasibility,
     Lorentz,
+    Negated,
     NotBalanced,
     NotDualFeasible,
     NotPrimalFeasible,
@@ -313,6 +314,19 @@ class TestInclusionRadius:
     def test_planar_line(self):
         est, ok = inclusion_radius_check(Orthant(2), span([1, -1]), samples=2000, seed=1)
         assert ok and est == pytest.approx(math.sin(math.pi / 4), rel=0.1)
+
+    def test_line_projects_only_its_two_directions(self, monkeypatch):
+        # +-1 is the whole unit sphere of a line: no random direction is drawn.
+        rows, original = [], Negated.project
+
+        def counted(self, x):
+            if np.ndim(x) == 2:
+                rows.append(len(x))
+            return original(self, x)
+
+        monkeypatch.setattr(Negated, "project", counted)
+        inclusion_radius_check(Orthant(3), span([1, -1, 0]), samples=2000, seed=2)
+        assert sum(rows) == 2
 
     def test_three_dim_line(self):
         est, ok = inclusion_radius_check(Orthant(3), span([1, -1, 0]), samples=2000, seed=2)

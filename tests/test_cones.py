@@ -111,6 +111,30 @@ class TestProjection:
             np.testing.assert_array_equal(cone.project(xs), points, err_msg=cone.spec())
 
 
+class TestOrthantSigns:
+    def test_sign_vectors(self):
+        mixed = Product([Orthant(2), Negated(Orthant(1)),
+                         Negated(Product([Orthant(1), Negated(Orthant(1))]))])
+        for cone, expected in [(Orthant(3), [1.0, 1.0, 1.0]),
+                               (Negated(Orthant(2)), [-1.0, -1.0]),
+                               (mixed, [1.0, 1.0, -1.0, -1.0, 1.0])]:
+            np.testing.assert_array_equal(cone.orthant_signs, expected)
+            # x in C iff d*x >= 0
+            assert np.all(cone.sample_units(stream(44), 100) * cone.orthant_signs >= 0.0)
+
+    @pytest.mark.parametrize("cone", [Lorentz(3), Negated(Lorentz(3)),
+                                      Product([Orthant(2), Lorentz(3)]),
+                                      Negated(Product([Lorentz(2), Negated(Orthant(1))]))])
+    def test_a_lorentz_factor_gives_none(self, cone):
+        assert cone.orthant_signs is None
+
+    @pytest.mark.parametrize("cone", [Orthant(2), Negated(Orthant(2)),
+                                      Product([Orthant(1), Negated(Orthant(1))])])
+    def test_read_only(self, cone):
+        with pytest.raises(ValueError):
+            cone.orthant_signs[0] = 0.0
+
+
 class TestParse:
     def test_repr_shows_the_spec(self):
         assert repr(Negated(Orthant(2))) == "Negated('negated(orthant:2)')"

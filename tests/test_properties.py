@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coniccond import (Feasibility, Negated, Orthant, Product, analyze, complement,
-                       subspace_from_rowspan)
-from conftest import random_matrix, stream
+from coniccond import Feasibility, Orthant, analyze, complement, subspace_from_rowspan
+from conftest import orthant_like, random_matrix, stream
 
 SWAPPED = {
     Feasibility.PRIMAL_STRICT: Feasibility.DUAL_STRICT,
@@ -42,11 +41,9 @@ def _assert_same_condition(got, expected):
 
 
 def _orthant_like(kind: str, n: int):
-    if kind == "orthant":
-        return Orthant(n)
-    if kind == "negated":
-        return Negated(Orthant(n))
-    return Product([Orthant(n // 2), Negated(Orthant(n - n // 2))])
+    blocks = {"orthant": [(True, n)], "negated": [(False, n)],
+              "product": [(True, n // 2), (False, n - n // 2)]}
+    return orthant_like(blocks[kind])
 
 
 @settings(max_examples=50, deadline=None)

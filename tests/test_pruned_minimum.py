@@ -9,16 +9,15 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import coniccond.cones
-from coniccond import (Feasibility, Negated, Orthant, Product, RankDeficient, analyze,
-                       distance_to_primal_feasible)
-from coniccond.cones import _orthant_signs, dual_cone
+from coniccond import Feasibility, Orthant, RankDeficient, analyze, distance_to_primal_feasible
+from coniccond.cones import dual_cone
 from coniccond.tolerances import RANK_CAP_FACTOR
-from conftest import full_orthant_minimum, random_matrix, stream
+from conftest import full_orthant_minimum, orthant_like, random_matrix, stream
 
 
 def _reference(cone, a):
     """(value, p) of min ||A p|| over unit p in the dual cone, every support solved."""
-    signs = _orthant_signs(dual_cone(cone))
+    signs = dual_cone(cone).orthant_signs
     value, y = full_orthant_minimum(signs[:, None] * (a.T @ a) * signs[None, :])
     return float(np.sqrt(max(value, 0.0))), signs * y
 
@@ -28,8 +27,7 @@ def instances(draw):
     """An orthant-like cone with n <= 12 and an m x n matrix, m < n, often near-degenerate."""
     blocks = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 6)), min_size=1, max_size=3)
                   .filter(lambda b: 2 <= sum(k for _, k in b) <= 12))
-    factors = [Orthant(k) if positive else Negated(Orthant(k)) for positive, k in blocks]
-    cone = factors[0] if len(factors) == 1 else Product(factors)
+    cone = orthant_like(blocks)
     n = cone.dim
     m = draw(st.integers(1, n - 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

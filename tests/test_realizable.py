@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import coniccond.cones
 from coniccond import Orthant, Subspace, cone_subspace_angle
 from coniccond.cones import (REALIZABLE_MIN_DIM, _angle_of_cos2, _enumerate_orthant_extremum,
-                             _orthant_signs, _realizable_supports, extremize_quadratic_over_cone)
+                             _realizable_supports, extremize_quadratic_over_cone)
 from conftest import full_orthant_minimum, orthant_like
 
 
@@ -48,7 +48,7 @@ def arrangements(draw):
         eps = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3]))
         face = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.6)
         face[rng.integers(n)] = 1.0
-        a[0] = _orthant_signs(cone) * face + eps * rng.standard_normal(n)
+        a[0] = cone.orthant_signs * face + eps * rng.standard_normal(n)
     elif kind == "zero column":
         a[:, rng.integers(n)] = 0.0
     elif kind == "duplicated column":
@@ -64,7 +64,7 @@ class TestRealizableRoute:
     @given(arrangements())
     def test_realizable_route_is_the_full_enumeration_bit_for_bit(self, arrangement):
         cone, basis = arrangement
-        signs = _orthant_signs(cone)
+        signs = cone.orthant_signs
         conj = basis.T @ basis * np.outer(signs, signs)
         full = _enumerate_orthant_extremum(conj, True)
         # Every r, not only those the route rule sends to the table.
