@@ -12,6 +12,11 @@ the intersection of a cone with the unit sphere:
   the realizable supports, the cells of the arrangement {B^T y = 0},
   when REALIZABLE_MIN_DIM <= n and 2r <= n; every other maximum solves
   all 2^n - 1 supports, each the same way;
+* such an angle maximum first solves only supports of at most n - r
+  coordinates (a larger one contains a vector of W) and keeps that
+  result when z = x - P_W x > GORDAN_MARGIN, which proves the side
+  strict by Gordan's alternative; otherwise it solves the larger sizes
+  too and selects as the full enumeration does;
 * a minimum skips the supports that Cauchy interlacing shows cannot
   win or tie, and the dual-route minimum of a dual strict instance
   solves only supports of at most rank(A) coordinates (_max_size);
@@ -43,8 +48,8 @@ from .errors import (
 )
 from .grassmann import Subspace, complement
 from .tolerances import (ANGLE_THRESHOLD, ASCENT_MAX_STEPS, ASCENT_MIN_GAIN, ASCENT_MIN_NORM,
-                         ASCENT_MIN_STEP, GENERAL_POSITION_TOL, MEMBERSHIP_TOL, PRODUCT_WEIGHT_FLOOR,
-                         SIGNABLE_TOL, TIE_TOL)
+                         ASCENT_MIN_STEP, GENERAL_POSITION_TOL, GORDAN_MARGIN, MEMBERSHIP_TOL,
+                         PRODUCT_WEIGHT_FLOOR, SIGNABLE_TOL, TIE_TOL)
 
 # Orthant enumeration is exact but exponential; beyond this many
 # coordinates the multistart path takes over.
@@ -431,7 +436,7 @@ def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
 
 
 def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=None,
-                                realizable=None, max_size=None):
+                                realizable=None, max_size=None, subspace_dim=None):
     """Exact extremum of y^T M y over unit y >= 0 by support enumeration.
 
     The extremizer restricted to its support F is an eigenvector of
@@ -452,6 +457,19 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
     With ``max_size`` only supports of at most that many coordinates are
     solved; the caller vouches that no larger one can be accepted.
 
+    With ``subspace_dim`` (M the projector P onto W, r = subspace_dim) a
+    maximum first solves only the supports of at most n - r coordinates,
+    unless ``realizable`` marks the full support (then W meets the
+    orthant's interior).  A larger support contains a vector of W, so its
+    top eigenvalue is 1.  Let x be the best candidate found and
+    z = x - P x, a vector of W_perp.  When min z > GORDAN_MARGIN, z > 0
+    and Gordan's alternative give W meet (y >= 0) = {0} with sin(angle)
+    >= min z; a larger support could then not be accepted (see
+    GORDAN_MARGIN), and x is returned with the bits of the full
+    enumeration.  Otherwise the larger sizes are solved as well, and the
+    stop rule is replayed from size n down over the results of every
+    size.
+
     Every route keeps one table of skipped supports, which starts as the
     supports ``realizable`` leaves out.  A minimum also skips every
     support T with a one-larger superset S that was skipped itself or
@@ -465,47 +483,74 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
     n = m_mat.shape[0]
     sym = 0.5 * (m_mat + m_mat.T)
     skipped = np.zeros(1 << n, dtype=bool) if realizable is None else ~realizable
+    best = np.inf
     if not maximize:
         margin = 2.0 * TIE_TOL * max(1.0, float(np.abs(sym).sum(axis=1).max()))
         bits = np.int64(1) << np.arange(n)
-        best = np.inf
-    # Accepted (values, supports, vectors), one entry per support size; a
-    # 1x1 eigenvector can always be signed, so size 1 accepts every row.
-    accepted_by_size = []
-    for size in range(n if max_size is None else min(n, max_size), 0, -1):
-        combos, masks = _support_table(n, size)
-        if not maximize:
-            # Each mask | bit is a one-larger superset, or the mask itself.
-            skipped[masks] = skipped[masks[:, None] | bits].any(axis=1)
-        keep = ~skipped[masks]
-        combos, masks = combos[keep], masks[keep]
-        if not len(combos):
-            continue
-        subs = sym[combos[:, :, None], combos[:, None, :]]
-        eigvals, eigvecs = np.linalg.eigh(subs)
-        col = size - 1 if maximize else 0
-        vecs = eigvecs[:, :, col]
-        lead = np.argmax(np.abs(vecs), axis=1)
-        lead_sign = vecs[np.arange(len(combos)), lead]
-        vecs = vecs * np.where(lead_sign < 0.0, -1.0, 1.0)[:, None]
-        accepted = vecs.min(axis=1) >= -SIGNABLE_TOL
-        lams = eigvals[accepted, col]
-        accepted_by_size.append((lams, combos[accepted], vecs[accepted]))
-        if not maximize:
-            best = min(best, float(lams.min(initial=np.inf)))
-            skipped[masks[eigvals[:, 0] > best + margin]] = True
-        if stop_angle is not None and lams.size and _angle_of_cos2(float(lams.max())) <= stop_angle:
-            break
+    # Accepted (values, supports, vectors) by support size; a 1x1
+    # eigenvector can always be signed, so size 1 accepts every row.
+    accepted_by_size = {}
+
+    def solve(sizes):
+        """Solve the sizes in the order given; the size the stop rule ended at, or None."""
+        nonlocal best
+        for size in sizes:
+            combos, masks = _support_table(n, size)
+            if not maximize:
+                # Each mask | bit is a one-larger superset, or the mask itself.
+                skipped[masks] = skipped[masks[:, None] | bits].any(axis=1)
+            keep = ~skipped[masks]
+            combos, masks = combos[keep], masks[keep]
+            if not len(combos):
+                continue
+            subs = sym[combos[:, :, None], combos[:, None, :]]
+            eigvals, eigvecs = np.linalg.eigh(subs)
+            col = size - 1 if maximize else 0
+            vecs = eigvecs[:, :, col]
+            lead = np.argmax(np.abs(vecs), axis=1)
+            lead_sign = vecs[np.arange(len(combos)), lead]
+            vecs = vecs * np.where(lead_sign < 0.0, -1.0, 1.0)[:, None]
+            accepted = vecs.min(axis=1) >= -SIGNABLE_TOL
+            lams = eigvals[accepted, col]
+            accepted_by_size[size] = (lams, combos[accepted], vecs[accepted])
+            if not maximize:
+                best = min(best, float(lams.min(initial=np.inf)))
+                skipped[masks[eigvals[:, 0] > best + margin]] = True
+            if (stop_angle is not None and lams.size
+                    and _angle_of_cos2(float(lams.max())) <= stop_angle):
+                return size
+        return None
+
+    top = n if max_size is None else min(n, max_size)
+    touches = realizable is not None and realizable[-1]
+    cap = top if subspace_dim is None or touches else min(top, n - subspace_dim)
+    stopped = solve(range(cap, 0, -1))
+    result = _best_candidate(accepted_by_size.values(), maximize, n)
+    if cap < top and (stopped is not None or result is None
+                      or float((result[1] - sym @ result[1]).min()) <= GORDAN_MARGIN):
+        stopped = solve(range(top, cap, -1))
+        if stopped is not None:
+            # From size n down the stop rule ends here, above the sizes solved first.
+            accepted_by_size = {s: c for s, c in accepted_by_size.items() if s >= stopped}
+        result = _best_candidate(accepted_by_size.values(), maximize, n)
+    return result
+
+
+def _best_candidate(accepted, maximize, n):
+    """(extremum, witness) over accepted (values, supports, vectors), or None if there are none."""
+    accepted = [c for c in accepted if c[0].size]
+    if not accepted:
+        return None
     # The value is the plain extremum; the lexicographic tie-break picks
     # only the witness so it cannot degrade the value (near 0 and 1 even
     # 1e-13 of eigenvalue slack amplifies into angle errors above the
     # classification threshold).
-    values = np.concatenate([lams for lams, _, _ in accepted_by_size])
+    values = np.concatenate([lams for lams, _, _ in accepted])
     best_val = float(values.max() if maximize else values.min())
     # Supports come in lexicographic order, so each size's first tie is
     # its smallest; the witness is the smallest of those.
     tied = []
-    for lams, supports, vecs in accepted_by_size:
+    for lams, supports, vecs in accepted:
         first = np.flatnonzero(np.abs(lams - best_val) <= TIE_TOL)[:1]
         tied.extend((tuple(supports[i].tolist()), vecs[i]) for i in first)
     best_support, best_vec = min(tied, key=lambda c: c[0])
@@ -579,9 +624,11 @@ def extremize_quadratic_over_cone(
     orthant (Cone.orthant_signs) of dimension <= EXACT_ENUM_LIMIT,
     multistart otherwise.
     ``_stop_angle`` lets the enumeration stop early; see
-    cone_subspace_angle.  ``_basis`` is a B with M = B^T B (r rows); a
-    maximum then solves only realizable supports when
-    REALIZABLE_MIN_DIM <= n and 2r <= n, where that route is faster.
+    cone_subspace_angle.  ``_basis`` is a B with orthonormal rows and
+    M = B^T B, the projector onto W = row span of B (r rows); a maximum
+    then solves only realizable supports when REALIZABLE_MIN_DIM <= n
+    and 2r <= n, where that route is faster, and stops at n - r
+    coordinates when Gordan's alternative certifies the side strict.
     ``_max_size`` caps the support size the enumeration solves; see
     Analysis.dual_minimum.
     """
@@ -591,10 +638,13 @@ def extremize_quadratic_over_cone(
     signs = cone.orthant_signs
     if signs is not None and cone.dim <= EXACT_ENUM_LIMIT:
         conj = signs[:, None] * m_mat * signs[None, :]
-        n, realizable = cone.dim, None
-        if _basis is not None and maximize and REALIZABLE_MIN_DIM <= n and 2 * len(_basis) <= n:
-            realizable = _realizable_supports(_basis * signs)
-        val, y = _enumerate_orthant_extremum(conj, maximize, _stop_angle, realizable, _max_size)
+        n, realizable, dim_w = cone.dim, None, None
+        if _basis is not None and maximize:
+            dim_w = len(_basis)
+            if REALIZABLE_MIN_DIM <= n and 2 * dim_w <= n:
+                realizable = _realizable_supports(_basis * signs)
+        val, y = _enumerate_orthant_extremum(conj, maximize, _stop_angle, realizable, _max_size,
+                                             dim_w)
         return QuadraticExtremum(
             value=val, point=signs * y, method="exact", converged_values=np.array([val])
         )

@@ -19,6 +19,13 @@ MEMBERSHIP_TOL = 1e-9
 SIGNABLE_TOL = 1e-9
 # Enumerated extremum candidates within this of the best value tie for the witness.
 TIE_TOL = 1e-12
+# The maximum of the projector P onto W (dim r) skips supports of more than n - r coordinates
+# when z = x - P x exceeds this in every entry, x the best smaller candidate.  Such a support
+# contains a vector of W, and were it accepted its top eigenvector v would put a unit point of
+# the cone within (sqrt(n eps) + SIGNABLE_TOL sqrt(n)) of W, at most 6.4e-8 for n <= 16; but z
+# lies in W_perp, so by Gordan's alternative sin(angle) >= min z > this.  The factor of 15
+# between the two covers the error of the computed z.
+GORDAN_MARGIN = 1e-6
 # Relative cofactor rays or off-ray entries of B^T rho this small void general position.
 GENERAL_POSITION_TOL = 1e-6
 # Product cone sampling weights each factor at least this, so no sample drops a block.

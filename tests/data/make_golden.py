@@ -32,6 +32,12 @@ CASES = (
      [[1.0, 2.0, 0.5, 1.5, 0.7], [0.3, -1.0, 1.2, 0.4, -0.2]]),
     ("product-primal-strict", "product(orthant:2,orthant:3)",
      [[1.0, -2.0, 0.5, 0.0, -0.3], [0.0, 1.0, -1.5, -0.4, 0.8]]),
+    # The strict side W_perp has dimension 9, too large for the realizable
+    # table, so its maximum takes the full route capped at 12 - 9 coordinates.
+    ("orthant-12-dual-strict", "orthant:12",
+     [[1.0, 0.5, 2.0, 0.3, 1.2, 0.8, 1.5, 0.2, 0.9, 1.1, 0.6, 1.4],
+      [0.4, -1.0, 0.7, 1.3, -0.5, 0.2, -1.2, 0.9, 0.1, -0.3, 1.0, -0.8],
+      [-0.6, 0.3, -0.2, 0.5, 1.1, -1.4, 0.4, -0.7, 1.2, 0.8, -0.9, 0.1]]),
 )
 EXPERIMENT = dict(n=8, m=4, trials=40, seed=0)
 # Dual strict trials at n = 12 take the pruned, rank-capped dual-route minimum.

@@ -1,4 +1,4 @@
-"""Realizable supports: the orthant maximum solved only on cells of {B^T y = 0}."""
+"""Realizable supports and the strict cap: which supports an orthant maximum solves."""
 
 import math
 
@@ -11,6 +11,8 @@ import coniccond.cones
 from coniccond import Orthant, Subspace, cone_subspace_angle
 from coniccond.cones import (REALIZABLE_MIN_DIM, _angle_of_cos2, _enumerate_orthant_extremum,
                              _realizable_supports, extremize_quadratic_over_cone)
+from coniccond.grassmann import complement
+from coniccond.tolerances import ANGLE_THRESHOLD, GORDAN_MARGIN
 from conftest import full_orthant_minimum, orthant_like
 
 
@@ -27,6 +29,14 @@ def _gaussian_basis(n, r, seed):
 def _cover_bound(n, r):
     """Cover's (1965) bound on the cells of n central hyperplanes in R^r."""
     return 2 * sum(math.comb(n - 1, k) for k in range(r))
+
+
+def _near_face(rng, signs, eps):
+    """A point of a random face of the sign-orthant {signs * x >= 0}, moved off by eps."""
+    n = len(signs)
+    face = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.6)
+    face[rng.integers(n)] = 1.0
+    return signs * face + eps * rng.standard_normal(n)
 
 
 @st.composite
@@ -46,9 +56,7 @@ def arrangements(draw):
     kind = draw(st.sampled_from(["generic", "boundary", "zero column", "duplicated column"]))
     if kind == "boundary":
         eps = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3]))
-        face = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.6)
-        face[rng.integers(n)] = 1.0
-        a[0] = cone.orthant_signs * face + eps * rng.standard_normal(n)
+        a[0] = _near_face(rng, cone.orthant_signs, eps)
     elif kind == "zero column":
         a[:, rng.integers(n)] = 0.0
     elif kind == "duplicated column":
@@ -107,17 +115,40 @@ class TestCellCount:
                 assert (2 * r <= n) == (_cover_bound(n, r) <= 2 ** (n - 1)), (n, r)
 
 
+def _solved_by_size(monkeypatch, *args, **kwargs):
+    """{support size: matrices sent to eigh} for one extremize_quadratic_over_cone call."""
+    original, solved = np.linalg.eigh, {}
+
+    def counted(subs):
+        solved[subs.shape[-1]] = solved.get(subs.shape[-1], 0) + len(subs)
+        return original(subs)
+
+    monkeypatch.setattr(coniccond.cones.np.linalg, "eigh", counted)
+    extremize_quadratic_over_cone(*args, **kwargs)
+    return solved
+
+
+def _supports_up_to(n, size):
+    """The number of nonempty supports of at most ``size`` of n coordinates."""
+    return sum(math.comb(n, k) for k in range(1, size + 1))
+
+
+def _cells_up_to(table, size):
+    """The nonempty supports of at most ``size`` coordinates that a realizable table marks."""
+    sizes = np.array([bin(mask).count("1") for mask in range(len(table))])
+    return int(table[(sizes >= 1) & (sizes <= size)].sum())
+
+
 class TestFullRouteFallback:
+    """Route counts.  A strict side (r = dim W) solves no support of more than n - r
+    coordinates; a side that touches the cone refuses the certificate and solves
+    every support its route has."""
+
     def _solved_matrices(self, monkeypatch, *args, **kwargs):
-        original, solved = np.linalg.eigh, []
+        return sum(_solved_by_size(monkeypatch, *args, **kwargs).values())
 
-        def counted(subs):
-            solved.append(len(subs))
-            return original(subs)
-
-        monkeypatch.setattr(coniccond.cones.np.linalg, "eigh", counted)
-        extremize_quadratic_over_cone(*args, **kwargs)
-        return sum(solved)
+    # Strict sides here: every r = 1 and (5, 2); the rest touch.
+    STRICT_BELOW_THE_TABLE = {(4, 1), (5, 1), (5, 2), (6, 1)}
 
     @pytest.mark.parametrize("n, r", [(n, r) for n in (4, 5, 6) for r in range(1, n)])
     def test_below_the_table_dimension_solves_every_support(self, monkeypatch, n, r):
@@ -126,7 +157,11 @@ class TestFullRouteFallback:
         assert _realizable_supports(basis) is not None
         solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(n), True,
                                        _basis=basis)
-        assert solved == 2**n - 1
+        # No table: (4, 1) 14, (5, 1) 30, (5, 2) 25 and (6, 1) 62 of 2^n - 1.
+        if (n, r) in self.STRICT_BELOW_THE_TABLE:
+            assert solved == _supports_up_to(n, n - r)
+        else:
+            assert solved == 2**n - 1
 
     @pytest.mark.parametrize("n, r", [(7, 3), (8, 4), (10, 5), (12, 6)])
     def test_half_dimension_subspace_solves_only_realizable_supports(self, monkeypatch, n, r):
@@ -135,13 +170,20 @@ class TestFullRouteFallback:
         assert table is not None
         solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(n), True,
                                        _basis=basis)
-        assert solved == int(table[1:].sum()) < 2**n - 1
+        if (n, r) == (8, 4):
+            # Strict: the 83 of its 128 cells with at most n - r = 4 coordinates.
+            assert solved == _cells_up_to(table, n - r) == 83
+        else:
+            # W meets the interior, so the table marks the full support.
+            assert table[-1]
+            assert solved == int(table[1:].sum()) < 2**n - 1
 
     def test_generic_basis_solves_only_realizable_supports(self, monkeypatch):
+        # Strict: the 88 of its 92 cells with at most n - r = 7 coordinates.
         basis = _gaussian_basis(10, 3, seed=1)
         solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True,
                                        _basis=basis)
-        assert solved == int(_realizable_supports(basis)[1:].sum())
+        assert solved == _cells_up_to(_realizable_supports(basis), 7) == 88
 
     @pytest.mark.parametrize("degeneracy", ["zero column", "duplicated column", "boundary point"])
     def test_non_general_position_takes_the_full_route(self, monkeypatch, degeneracy):
@@ -157,7 +199,13 @@ class TestFullRouteFallback:
         assert _realizable_supports(basis) is None
         solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True,
                                        _basis=basis)
-        assert solved == 2**10 - 1
+        if degeneracy == "duplicated column":
+            # Strict: every support of at most n - r = 7 coordinates.
+            assert solved == _supports_up_to(10, 7) == 967
+        else:
+            # The boundary point touches.  The zero column is strict, but e_4 lies in
+            # W_perp, so z = x - P x has z_4 = 0 and the certificate is refused.
+            assert solved == 2**10 - 1
 
     def test_minimization_takes_the_full_route(self):
         # Here the realizable table misses the minimizer's support (its
@@ -175,9 +223,81 @@ class TestFullRouteFallback:
         assert solved == 2**10 - 1
 
     def test_subspace_above_half_the_dimension_takes_the_full_route(self, monkeypatch):
-        # Cover's bound at (10, 6) is 764 of 1024 sign patterns.
+        # Cover's bound at (10, 6) is 764 of 1024 sign patterns.  W is strict, so
+        # the full route solves every support of at most n - r = 4 coordinates.
         basis = _gaussian_basis(10, 6, seed=1)
         assert _realizable_supports(basis) is not None
         solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True,
                                        _basis=basis)
-        assert solved == 2**10 - 1
+        assert solved == _supports_up_to(10, 4) == 385
+
+
+class TestStrictCap:
+    """A strict maximum stops at n - dim W coordinates when Gordan's alternative certifies it."""
+
+    def test_certified_table_route_solves_no_support_above_n_minus_r(self, monkeypatch):
+        basis = _gaussian_basis(12, 6, seed=2)
+        assert cone_subspace_angle(Orthant(12), Subspace(basis)).angle > 0.3
+        solved = _solved_by_size(monkeypatch, basis.T @ basis, Orthant(12), True, _basis=basis)
+        assert max(solved) == 6
+
+    def test_certified_full_route_solves_no_support_above_n_minus_r(self, monkeypatch):
+        # The strict side of a dual strict (3, 12) instance: W_perp of a row span
+        # through the orthant's interior, dimension 9 and too large for a table.
+        a = np.random.default_rng(0).standard_normal((3, 12))
+        a[0] = np.abs(a[0])
+        w = complement(Subspace(_row_basis(a)))
+        solved = _solved_by_size(monkeypatch, w.projector(), Orthant(12), True, _basis=w.basis)
+        assert sorted(solved) == [1, 2, 3]
+        assert sum(solved.values()) == _supports_up_to(12, 3) == 298
+
+    def test_near_boundary_subspace_refuses_the_certificate(self, monkeypatch):
+        # W passes within 2.8e-8 of a face with 8 > n - r = 7 coordinates,
+        # and its maximizer has that support.
+        n, r = 10, 3
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((r, n))
+        a[0] = _near_face(rng, np.ones(n), eps=1e-9)
+        basis = _row_basis(a)
+        projector = basis.T @ basis
+        assert _realizable_supports(basis) is None
+        _, capped = _enumerate_orthant_extremum(projector, True, max_size=n - r)
+        assert (capped - projector @ capped).min() <= GORDAN_MARGIN
+        solved = _solved_by_size(monkeypatch, projector, Orthant(n), True, _basis=basis)
+        assert solved == {size: math.comb(n, size) for size in range(1, n + 1)}
+        monkeypatch.undo()
+        full = _enumerate_orthant_extremum(projector, True)
+        ext = extremize_quadratic_over_cone(projector, Orthant(n), True, _basis=basis)
+        assert 0.0 < _angle_of_cos2(full[0]) < 3e-8
+        assert np.count_nonzero(full[1]) == 8
+        assert ext.value == full[0]
+        assert np.array_equal(ext.point, full[1])
+
+    def test_touching_side_replays_the_stop_rule(self):
+        # W through a face point: the stop rule ends the full enumeration at
+        # a size above n - r, and a size at most n - r, solved first, holds a
+        # larger value that the full enumeration never reaches.
+        n, r = 8, 2
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((r, n))
+        a[0] = _near_face(rng, np.ones(n), eps=0.0)
+        basis = _row_basis(a)
+        projector = basis.T @ basis
+        full = _enumerate_orthant_extremum(projector, True, ANGLE_THRESHOLD)
+        capped = _enumerate_orthant_extremum(projector, True, ANGLE_THRESHOLD, subspace_dim=r)
+        assert _enumerate_orthant_extremum(projector, True, max_size=n - r)[0] > full[0]
+        assert capped[0] == full[0]
+        assert np.array_equal(capped[1], full[1])
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(arrangements())
+    def test_stopped_cap_is_the_stopped_full_enumeration_bit_for_bit(self, arrangement):
+        cone, basis = arrangement
+        signs = cone.orthant_signs
+        conj = basis.T @ basis * np.outer(signs, signs)
+        table = _realizable_supports(basis * signs)
+        full = _enumerate_orthant_extremum(conj, True, ANGLE_THRESHOLD, table)
+        capped = _enumerate_orthant_extremum(conj, True, ANGLE_THRESHOLD, table,
+                                             subspace_dim=len(basis))
+        assert capped[0] == full[0]
+        assert np.array_equal(capped[1], full[1])
