@@ -26,7 +26,7 @@ from .errors import (DimensionError, NotBalanced, NotDualFeasible, NotPrimalFeas
                      XInComplement, ZeroVector)
 from .grassmann import Subspace, angle_point_subspace, subspace_from_rowspan
 from .linalg import is_balanced, is_rank_deficient, kappa, require_matrix
-from .tolerances import COMPLEMENT_BAND, INCLUSION_AGREEMENT, RANK_CAP_FACTOR, ZERO_DISTANCE
+from .tolerances import COMPLEMENT_BAND, INCLUSION_AGREEMENT, ZERO_DISTANCE
 
 # Angular spacing, in radians, of the deterministic direction grid of inclusion_radius_check.
 INCLUSION_GRID_RESOLUTION = 0.05
@@ -110,14 +110,18 @@ def _witness(delta, property_forced, vector, residual, normalization=1.0) -> Per
                                float(residual), normalization)
 
 
-def _min_image_over_dual(cone: Cone, a: np.ndarray, seed: int, max_size: int | None = None):
+def _min_image_over_dual(cone: Cone, a: np.ndarray, seed: int):
     """Minimize ||A p|| over unit p in the dual cone; returns (value, p, method).
 
-    ``max_size`` caps the support size of an exact enumeration; see
-    Analysis.dual_minimum.
+    A positive minimum lies in the relative interior of its face F, so
+    restricted to F it is the lambda_min eigenvector of A_F^T A_F, which
+    is singular when |F| > m, the row count of A.  An exact enumeration
+    takes A as the factor of A^T A and so solves only supports of at most
+    m coordinates wherever Gordan's alternative certifies that no larger
+    one can be accepted.
     """
     ext = extremize_quadratic_over_cone(a.T @ a, dual_cone(cone), maximize=False, seed=seed,
-                                        _max_size=max_size)
+                                        _factor=a)
     return float(np.sqrt(max(ext.value, 0.0))), ext.point, ext.method
 
 
@@ -171,21 +175,12 @@ class Analysis:
         return kappa(self._matrix())
 
     def dual_minimum(self) -> tuple[float, np.ndarray, str]:
-        """min ||A p|| over unit p in the dual cone, as (value, p, method).
+        """min ||A p|| over unit p in the dual cone as (value, p, method), solved once.
 
-        A positive minimum lies in the relative interior of its face F, so
-        restricted to F it is the lambda_min eigenvector of A_F^T A_F,
-        which is singular when |F| > m = rank A.  A dual strict instance
-        therefore solves only supports of at most m coordinates, when
-        RANK_CAP_FACTOR guards that no singular support can be accepted.
+        See _min_image_over_dual.
         """
         if self._dual_minimum is None:
-            a = self._matrix()
-            cap = None
-            if (self.status.tag is Feasibility.DUAL_STRICT
-                    and math.sin(self.dual.angle) > RANK_CAP_FACTOR * self.kappa):
-                cap = a.shape[0]
-            self._dual_minimum = _min_image_over_dual(self.cone, a, self.seed, cap)
+            self._dual_minimum = _min_image_over_dual(self.cone, self._matrix(), self.seed)
         return self._dual_minimum
 
     def renegar(self) -> ConditionValue:

@@ -12,14 +12,15 @@ the intersection of a cone with the unit sphere:
   the realizable supports, the cells of the arrangement {B^T y = 0},
   when REALIZABLE_MIN_DIM <= n and 2r <= n; every other maximum solves
   all 2^n - 1 supports, each the same way;
-* such an angle maximum first solves only supports of at most n - r
-  coordinates (a larger one contains a vector of W) and keeps that
-  result when z = x - P_W x > GORDAN_MARGIN, which proves the side
-  strict by Gordan's alternative; otherwise it solves the larger sizes
-  too and selects as the full enumeration does;
+* both extrema first solve only the supports of at most k coordinates,
+  k the rank of a form K whose kernel every larger support meets:
+  K = A^T A (A with k rows) for a minimum, K = I - P_W (k = n - r) for
+  an angle maximum; that result is kept when K x > 0 at its point x
+  proves by Gordan's alternative that no larger support can be accepted;
+  otherwise the larger sizes are solved too and selected as the full
+  enumeration does;
 * a minimum skips the supports that Cauchy interlacing shows cannot
-  win or tie, and the dual-route minimum of a dual strict instance
-  solves only supports of at most rank(A) coordinates (_max_size);
+  win or tie;
 * for everything else (Lorentz cones and products involving them) a
   multistart projected-gradient search is used and the spread of the
   best converged values is reported as an uncertainty gap.
@@ -436,7 +437,7 @@ def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
 
 
 def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=None,
-                                realizable=None, max_size=None, subspace_dim=None):
+                                realizable=None, cap=None):
     """Exact extremum of y^T M y over unit y >= 0 by support enumeration.
 
     The extremizer restricted to its support F is an eigenvector of
@@ -454,21 +455,19 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
     accepted value is at angle ``stop_angle`` or below: the best
     candidate of the sizes visited so far, not the maximum.
 
-    With ``max_size`` only supports of at most that many coordinates are
-    solved; the caller vouches that no larger one can be accepted.
-
-    With ``subspace_dim`` (M the projector P onto W, r = subspace_dim) a
-    maximum first solves only the supports of at most n - r coordinates,
-    unless ``realizable`` marks the full support (then W meets the
-    orthant's interior).  A larger support contains a vector of W, so its
-    top eigenvalue is 1.  Let x be the best candidate found and
-    z = x - P x, a vector of W_perp.  When min z > GORDAN_MARGIN, z > 0
-    and Gordan's alternative give W meet (y >= 0) = {0} with sin(angle)
-    >= min z; a larger support could then not be accepted (see
-    GORDAN_MARGIN), and x is returned with the bits of the full
-    enumeration.  Otherwise the larger sizes are solved as well, and the
-    stop rule is replayed from size n down over the results of every
-    size.
+    With ``cap`` = k, the rank of a positive semidefinite form K: K = M
+    for a minimum (M = A^T A, A with k rows), K = I - M for a maximum (M
+    the projector onto W, k = n - dim W).  Every support of more than k
+    coordinates meets the kernel of K, so an accepted one would give a
+    point of the orthant near that kernel.  The supports of at most k
+    coordinates are solved first, unless ``realizable`` marks the full
+    support (then W meets the orthant's interior).  Let x be their best
+    candidate and w = K x.  When min w > GORDAN_MARGIN (||K|| x^T K x)^(1/2),
+    w > 0 and Gordan's alternative keep the kernel of K away from the
+    orthant, so no larger support can be accepted (see GORDAN_MARGIN),
+    and x is returned with the bits of the full enumeration.  Otherwise
+    the larger sizes are solved as well, and the stop rule is replayed
+    from size n down over the results of every size.
 
     Every route keeps one table of skipped supports, which starts as the
     supports ``realizable`` leaves out.  A minimum also skips every
@@ -484,8 +483,11 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
     sym = 0.5 * (m_mat + m_mat.T)
     skipped = np.zeros(1 << n, dtype=bool) if realizable is None else ~realizable
     best = np.inf
+    # A bound on ||K||: the largest absolute row sum of K = M, or 1 for the
+    # projector I - M.
+    norm_k = 1.0 if maximize else float(np.abs(sym).sum(axis=1).max())
     if not maximize:
-        margin = 2.0 * TIE_TOL * max(1.0, float(np.abs(sym).sum(axis=1).max()))
+        margin = 2.0 * TIE_TOL * max(1.0, norm_k)
         bits = np.int64(1) << np.arange(n)
     # Accepted (values, supports, vectors) by support size; a 1x1
     # eigenvector can always be signed, so size 1 accepts every row.
@@ -521,14 +523,17 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
                 return size
         return None
 
-    top = n if max_size is None else min(n, max_size)
+    def certified(x):
+        """Whether w = K x exceeds GORDAN_MARGIN (||K|| x^T K x)^(1/2) in every entry."""
+        w = x - sym @ x if maximize else sym @ x
+        return float(w.min()) > GORDAN_MARGIN * np.sqrt(max(norm_k * float(x @ w), 0.0))
+
     touches = realizable is not None and realizable[-1]
-    cap = top if subspace_dim is None or touches else min(top, n - subspace_dim)
-    stopped = solve(range(cap, 0, -1))
+    first = n if cap is None or touches else min(n, cap)
+    stopped = solve(range(first, 0, -1))
     result = _best_candidate(accepted_by_size.values(), maximize, n)
-    if cap < top and (stopped is not None or result is None
-                      or float((result[1] - sym @ result[1]).min()) <= GORDAN_MARGIN):
-        stopped = solve(range(top, cap, -1))
+    if first < n and (stopped is not None or result is None or not certified(result[1])):
+        stopped = solve(range(n, first, -1))
         if stopped is not None:
             # From size n down the stop rule ends here, above the sizes solved first.
             accepted_by_size = {s: c for s, c in accepted_by_size.items() if s >= stopped}
@@ -615,8 +620,7 @@ def extremize_quadratic_over_cone(
     multistart_count: int = MULTISTART_COUNT,
     *,
     _stop_angle: float | None = None,
-    _basis: np.ndarray | None = None,
-    _max_size: int | None = None,
+    _factor: np.ndarray | None = None,
 ) -> QuadraticExtremum:
     """Extremize x^T M x over the unit vectors of a cone.
 
@@ -624,13 +628,13 @@ def extremize_quadratic_over_cone(
     orthant (Cone.orthant_signs) of dimension <= EXACT_ENUM_LIMIT,
     multistart otherwise.
     ``_stop_angle`` lets the enumeration stop early; see
-    cone_subspace_angle.  ``_basis`` is a B with orthonormal rows and
-    M = B^T B, the projector onto W = row span of B (r rows); a maximum
-    then solves only realizable supports when REALIZABLE_MIN_DIM <= n
-    and 2r <= n, where that route is faster, and stops at n - r
-    coordinates when Gordan's alternative certifies the side strict.
-    ``_max_size`` caps the support size the enumeration solves; see
-    Analysis.dual_minimum.
+    cone_subspace_angle.  ``_factor`` is an F with M = F^T F (k rows):
+    the matrix A for the dual-route minimum, or for a maximum a B with
+    orthonormal rows, so that M is the projector onto W = row span of B.
+    A minimum then stops at k coordinates, a maximum at n - k, wherever
+    Gordan's alternative certifies that cap (_enumerate_orthant_extremum);
+    a maximum also solves only realizable supports when
+    REALIZABLE_MIN_DIM <= n and 2k <= n, where that route is faster.
     """
     m_mat = np.asarray(m_mat, dtype=float)
     if m_mat.shape != (cone.dim, cone.dim):
@@ -638,13 +642,13 @@ def extremize_quadratic_over_cone(
     signs = cone.orthant_signs
     if signs is not None and cone.dim <= EXACT_ENUM_LIMIT:
         conj = signs[:, None] * m_mat * signs[None, :]
-        n, realizable, dim_w = cone.dim, None, None
-        if _basis is not None and maximize:
-            dim_w = len(_basis)
-            if REALIZABLE_MIN_DIM <= n and 2 * dim_w <= n:
-                realizable = _realizable_supports(_basis * signs)
-        val, y = _enumerate_orthant_extremum(conj, maximize, _stop_angle, realizable, _max_size,
-                                             dim_w)
+        n, realizable, cap = cone.dim, None, None
+        if _factor is not None:
+            k = len(_factor)
+            cap = n - k if maximize else k
+            if maximize and REALIZABLE_MIN_DIM <= n and 2 * k <= n:
+                realizable = _realizable_supports(_factor * signs)
+        val, y = _enumerate_orthant_extremum(conj, maximize, _stop_angle, realizable, cap)
         return QuadraticExtremum(
             value=val, point=signs * y, method="exact", converged_values=np.array([val])
         )
@@ -689,7 +693,7 @@ def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0, *,
     if cone.dim != w.ambient_dim:
         raise DimensionError(f"cone dimension {cone.dim} != ambient {w.ambient_dim}")
     ext = extremize_quadratic_over_cone(w.projector(), cone, maximize=True, seed=seed,
-                                        _stop_angle=_stop_angle, _basis=w.basis)
+                                        _stop_angle=_stop_angle, _factor=w.basis)
     angle = _angle_of_cos2(ext.value)
     if ext.method == "exact":
         if _stop_angle is not None and angle <= _stop_angle:

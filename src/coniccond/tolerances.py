@@ -19,12 +19,16 @@ MEMBERSHIP_TOL = 1e-9
 SIGNABLE_TOL = 1e-9
 # Enumerated extremum candidates within this of the best value tie for the witness.
 TIE_TOL = 1e-12
-# The maximum of the projector P onto W (dim r) skips supports of more than n - r coordinates
-# when z = x - P x exceeds this in every entry, x the best smaller candidate.  Such a support
-# contains a vector of W, and were it accepted its top eigenvector v would put a unit point of
-# the cone within (sqrt(n eps) + SIGNABLE_TOL sqrt(n)) of W, at most 6.4e-8 for n <= 16; but z
-# lies in W_perp, so by Gordan's alternative sin(angle) >= min z > this.  The factor of 15
-# between the two covers the error of the computed z.
+# An exact extremum skips the supports of more than k coordinates, k the rank of a form K
+# (A^T A for the dual-route minimum, I - P for the maximum of the projector P onto W), when
+# w = K x exceeds this times (||K|| x^T K x)^(1/2) in every entry, x the best smaller
+# candidate (Gordan's alternative).  A larger support meets the kernel of K; were it
+# accepted, its eigenvector v would have ||K^(1/2) v|| <= (sqrt(n eps) + SIGNABLE_TOL
+# sqrt(n)) ||K||^(1/2), at most 6.4e-8 ||K||^(1/2) for n <= 16, and since w > 0 and v >= 0,
+# min w <~ w.v <= (x^T K x)^(1/2) ||K^(1/2) v|| by Cauchy-Schwarz.  The factor of 15 between
+# the two covers the rounding of w: passing needs q_i / R(A) > this (minimum, witness q) or
+# sin(angle) x_i > this (maximum), so the bound exceeds 1e-12 ||K||, far above the
+# n eps ||K|| error of w.
 GORDAN_MARGIN = 1e-6
 # Relative cofactor rays or off-ray entries of B^T rho this small void general position.
 GENERAL_POSITION_TOL = 1e-6
@@ -58,13 +62,6 @@ SMALL_ANGLE = 1e-4
 # --- Condition numbers and witnesses (condition.py) ---
 # A dual-route minimum at most this times max(1, ||A||) makes the instance ill posed.
 ZERO_DISTANCE = 1e-12
-# The dual-route minimum of a dual strict A (m rows) solves only supports of at most m
-# coordinates when sin(dual angle) exceeds this times kappa(A).  A larger support F is
-# singular (rank A_F <= m), and were it accepted its signable null vector q would give a
-# unit p in the dual cone with ||A p|| <= (sqrt(n eps) + SIGNABLE_TOL sqrt(n)) ||A||, at
-# most 6.4e-8 ||A|| for n <= 16; but ||A p|| >= sigma_m sin(dual angle) > this ||A||.
-# The factor of 15 between the two covers the error of the computed angle.
-RANK_CAP_FACTOR = 1e-6
 # A vector within this of pi/2 to the row span lies in its orthogonal complement.
 COMPLEMENT_BAND = 1e-8
 # The sampled inclusion radius agrees when within this fraction of 1/C(W).

@@ -42,19 +42,20 @@ def random_spd(rng, m, lo=0.5, hi=4.0):
     return (q * eigs) @ q.T
 
 
-def full_orthant_minimum(m_mat):
-    """min y^T M y over unit y >= 0, solving every support: no pruning, no size cap.
+def full_orthant_minimum(m_mat, max_size=None):
+    """min y^T M y over unit y >= 0, solving every support: no pruning, no certified cap.
 
     The reference for the library's enumeration: each support's lambda_min
     eigenvector, signed by its largest entry, is accepted when it dips at
     most SIGNABLE_TOL below zero; the value is the least accepted
     eigenvalue and the witness comes from the lexicographically smallest
-    support within TIE_TOL of it.
+    support within TIE_TOL of it.  With ``max_size`` only the supports of
+    at most that many coordinates are solved.
     """
     n = m_mat.shape[0]
     sym = 0.5 * (m_mat + m_mat.T)
     candidates = []
-    for size in range(n, 0, -1):
+    for size in range(min(n, max_size or n), 0, -1):
         combos = np.array(list(itertools.combinations(range(n), size)))
         eigvals, eigvecs = np.linalg.eigh(sym[combos[:, :, None], combos[:, None, :]])
         for lam, support, vec in zip(eigvals[:, 0], combos, eigvecs[:, :, 0]):

@@ -1,4 +1,4 @@
-"""The dual-route minimum: interlacing prune and rank cap, bit for bit against every support."""
+"""Dual-route minimum: interlacing prune and certified cap, bit for bit against every support."""
 
 import math
 from collections import Counter
@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 
 import coniccond.cones
 from coniccond import Feasibility, Orthant, RankDeficient, analyze, distance_to_primal_feasible
+from coniccond.condition import _min_image_over_dual
 from coniccond.cones import dual_cone
-from coniccond.tolerances import RANK_CAP_FACTOR
+from coniccond.tolerances import GORDAN_MARGIN
 from conftest import full_orthant_minimum, orthant_like, random_matrix, stream
 
 
@@ -20,6 +21,20 @@ def _reference(cone, a):
     signs = dual_cone(cone).orthant_signs
     value, y = full_orthant_minimum(signs[:, None] * (a.T @ a) * signs[None, :])
     return float(np.sqrt(max(value, 0.0))), signs * y
+
+
+def _certificate_holds(cone, a):
+    """Gordan's certificate of the rank cap: K x > GORDAN_MARGIN (||K|| x^T K x)^(1/2).
+
+    K is A^T A in sign-conjugated coordinates, x its minimizer over the
+    supports of at most m coordinates, and ||K|| is bounded by the largest
+    absolute row sum.
+    """
+    signs = dual_cone(cone).orthant_signs
+    k = signs[:, None] * (a.T @ a) * signs[None, :]
+    _, x = full_orthant_minimum(k, max_size=len(a))
+    w = k @ x
+    return w.min() > GORDAN_MARGIN * math.sqrt(max(np.abs(k).sum(axis=1).max() * (x @ w), 0.0))
 
 
 @st.composite
@@ -41,7 +56,7 @@ def instances(draw):
         eps = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]))
         a[:, i] = -a[:, j] + eps * rng.standard_normal(m)
     elif kind == "near-equal rows" and m >= 2:
-        # kappa(A) near 1e6, or near 1e8, where the rank cap must be refused.
+        # kappa(A) near 1e6, or near 1e8, where the rank cap rests on the certificate alone.
         i, j = rng.choice(m, 2, replace=False)
         step = rng.standard_normal(n)
         scale = draw(st.sampled_from([1e-6, 1e-8]))
@@ -70,7 +85,7 @@ def dual_strict():
     a = random_matrix(stream(0), 6, 12)
     analysis = analyze(Orthant(12), None, a=a)
     assert analysis.status.tag is Feasibility.DUAL_STRICT
-    assert math.sin(analysis.dual.angle) > RANK_CAP_FACTOR * analysis.kappa
+    assert _certificate_holds(Orthant(12), a)
     return a, analysis
 
 
@@ -100,25 +115,42 @@ class TestSolvedSupports:
         assert value == ref_value
         assert np.array_equal(p, ref_p)
 
-    def test_guard_refuses_a_large_condition_and_solves_every_size(self, monkeypatch,
-                                                                   dual_strict):
+    def test_certificate_holds_at_a_large_condition_and_caps_at_m(self, monkeypatch,
+                                                                  dual_strict):
+        # kappa(A) does not enter the certificate: a row scaled by 1e-7 leaves
+        # the witness's coordinates far above GORDAN_MARGIN R(A).
         a, _ = dual_strict
         a = a.copy()
         a[0] *= 1e-7
         analysis = analyze(Orthant(12), None, a=a)
         assert analysis.status.tag is Feasibility.DUAL_STRICT
         assert analysis.kappa >= 1e7
+        assert _certificate_holds(Orthant(12), a)
         (value, p, _), sizes = _solve_counted(monkeypatch, analysis.dual_minimum)
-        # Every support above m is singular, so none is pruned.
-        assert all(sizes[size] == math.comb(12, size) for size in range(7, 13))
+        assert max(sizes) == 6
         ref_value, ref_p = _reference(Orthant(12), a)
         assert value == ref_value
         assert np.array_equal(p, ref_p)
 
-    def test_distance_to_primal_feasible_keeps_every_size(self, monkeypatch, dual_strict):
+    def test_distance_to_primal_feasible_takes_the_certified_cap(self, monkeypatch, dual_strict):
         a, _ = dual_strict
         value, sizes = _solve_counted(monkeypatch,
                                       lambda: distance_to_primal_feasible(Orthant(12), a))
-        assert all(sizes[size] == math.comb(12, size) for size in range(7, 13))
+        assert max(sizes) == 6
         assert sum(sizes.values()) < 2**12 - 1
         assert value == _reference(Orthant(12), a)[0]
+
+    def test_refused_certificate_solves_every_size_above_m(self, monkeypatch):
+        # A positive kernel vector: A is primal feasible, at distance 0, and the
+        # minimizer's support has more than m coordinates.  Sizes below m may
+        # all be pruned under the best size-m value.
+        a = random_matrix(stream(0), 6, 12)
+        a[:, -1] = -a[:, :-1] @ np.abs(random_matrix(stream(1), 1, 11)[0])
+        assert not _certificate_holds(Orthant(12), a)
+        (value, p, _), sizes = _solve_counted(monkeypatch,
+                                              lambda: _min_image_over_dual(Orthant(12), a, 0))
+        assert all(sizes[size] > 0 for size in range(6, 13))
+        assert np.count_nonzero(p) > 6
+        ref_value, ref_p = _reference(Orthant(12), a)
+        assert value == ref_value
+        assert np.array_equal(p, ref_p)

@@ -81,7 +81,7 @@ class TestRealizableRoute:
             value, point = _enumerate_orthant_extremum(conj, True, None, table)
             assert value == full[0]
             assert np.array_equal(point, full[1])
-        ext = extremize_quadratic_over_cone(basis.T @ basis, cone, True, _basis=basis)
+        ext = extremize_quadratic_over_cone(basis.T @ basis, cone, True, _factor=basis)
         assert ext.value == full[0]
         assert np.array_equal(ext.point, signs * full[1])
 
@@ -133,6 +133,16 @@ def _supports_up_to(n, size):
     return sum(math.comb(n, k) for k in range(1, size + 1))
 
 
+def _sizes_at_most(n, size):
+    """A support table, as _realizable_supports gives, that marks every support of at most size.
+
+    A maximum over it is the best candidate of the supports a cap of
+    ``size`` solves first, whatever the certificate decides.
+    """
+    counts = np.array([bin(mask).count("1") for mask in range(1 << n)])
+    return (counts >= 1) & (counts <= size)
+
+
 def _cells_up_to(table, size):
     """The nonempty supports of at most ``size`` coordinates that a realizable table marks."""
     sizes = np.array([bin(mask).count("1") for mask in range(len(table))])
@@ -156,7 +166,7 @@ class TestFullRouteFallback:
         basis = _gaussian_basis(n, r, seed=n + r)
         assert _realizable_supports(basis) is not None
         solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(n), True,
-                                       _basis=basis)
+                                       _factor=basis)
         # No table: (4, 1) 14, (5, 1) 30, (5, 2) 25 and (6, 1) 62 of 2^n - 1.
         if (n, r) in self.STRICT_BELOW_THE_TABLE:
             assert solved == _supports_up_to(n, n - r)
@@ -169,7 +179,7 @@ class TestFullRouteFallback:
         table = _realizable_supports(basis)
         assert table is not None
         solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(n), True,
-                                       _basis=basis)
+                                       _factor=basis)
         if (n, r) == (8, 4):
             # Strict: the 83 of its 128 cells with at most n - r = 4 coordinates.
             assert solved == _cells_up_to(table, n - r) == 83
@@ -182,7 +192,7 @@ class TestFullRouteFallback:
         # Strict: the 88 of its 92 cells with at most n - r = 7 coordinates.
         basis = _gaussian_basis(10, 3, seed=1)
         solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True,
-                                       _basis=basis)
+                                       _factor=basis)
         assert solved == _cells_up_to(_realizable_supports(basis), 7) == 88
 
     @pytest.mark.parametrize("degeneracy", ["zero column", "duplicated column", "boundary point"])
@@ -198,7 +208,7 @@ class TestFullRouteFallback:
         basis = _row_basis(a)
         assert _realizable_supports(basis) is None
         solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True,
-                                       _basis=basis)
+                                       _factor=basis)
         if degeneracy == "duplicated column":
             # Strict: every support of at most n - r = 7 coordinates.
             assert solved == _supports_up_to(10, 7) == 967
@@ -209,10 +219,11 @@ class TestFullRouteFallback:
 
     def test_minimization_takes_the_full_route(self):
         # Here the realizable table misses the minimizer's support (its
-        # minimum would be 0.058 against about 0); the pruned enumeration
-        # must still equal the one that solves every support.
+        # minimum would be 0.058 against about 0), so a minimum never reads
+        # it, and a minimum near 0 refuses the cap at 3 coordinates; the
+        # pruned enumeration must still equal the one that solves every support.
         basis = _gaussian_basis(10, 3, seed=1)
-        ext = extremize_quadratic_over_cone(basis.T @ basis, Orthant(10), False, _basis=basis)
+        ext = extremize_quadratic_over_cone(basis.T @ basis, Orthant(10), False, _factor=basis)
         value, point = full_orthant_minimum(basis.T @ basis)
         assert ext.value == value
         assert np.array_equal(ext.point, point)
@@ -228,7 +239,7 @@ class TestFullRouteFallback:
         basis = _gaussian_basis(10, 6, seed=1)
         assert _realizable_supports(basis) is not None
         solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True,
-                                       _basis=basis)
+                                       _factor=basis)
         assert solved == _supports_up_to(10, 4) == 385
 
 
@@ -238,7 +249,7 @@ class TestStrictCap:
     def test_certified_table_route_solves_no_support_above_n_minus_r(self, monkeypatch):
         basis = _gaussian_basis(12, 6, seed=2)
         assert cone_subspace_angle(Orthant(12), Subspace(basis)).angle > 0.3
-        solved = _solved_by_size(monkeypatch, basis.T @ basis, Orthant(12), True, _basis=basis)
+        solved = _solved_by_size(monkeypatch, basis.T @ basis, Orthant(12), True, _factor=basis)
         assert max(solved) == 6
 
     def test_certified_full_route_solves_no_support_above_n_minus_r(self, monkeypatch):
@@ -247,7 +258,7 @@ class TestStrictCap:
         a = np.random.default_rng(0).standard_normal((3, 12))
         a[0] = np.abs(a[0])
         w = complement(Subspace(_row_basis(a)))
-        solved = _solved_by_size(monkeypatch, w.projector(), Orthant(12), True, _basis=w.basis)
+        solved = _solved_by_size(monkeypatch, w.projector(), Orthant(12), True, _factor=w.basis)
         assert sorted(solved) == [1, 2, 3]
         assert sum(solved.values()) == _supports_up_to(12, 3) == 298
 
@@ -261,13 +272,13 @@ class TestStrictCap:
         basis = _row_basis(a)
         projector = basis.T @ basis
         assert _realizable_supports(basis) is None
-        _, capped = _enumerate_orthant_extremum(projector, True, max_size=n - r)
+        _, capped = _enumerate_orthant_extremum(projector, True, None, _sizes_at_most(n, n - r))
         assert (capped - projector @ capped).min() <= GORDAN_MARGIN
-        solved = _solved_by_size(monkeypatch, projector, Orthant(n), True, _basis=basis)
+        solved = _solved_by_size(monkeypatch, projector, Orthant(n), True, _factor=basis)
         assert solved == {size: math.comb(n, size) for size in range(1, n + 1)}
         monkeypatch.undo()
         full = _enumerate_orthant_extremum(projector, True)
-        ext = extremize_quadratic_over_cone(projector, Orthant(n), True, _basis=basis)
+        ext = extremize_quadratic_over_cone(projector, Orthant(n), True, _factor=basis)
         assert 0.0 < _angle_of_cos2(full[0]) < 3e-8
         assert np.count_nonzero(full[1]) == 8
         assert ext.value == full[0]
@@ -284,8 +295,9 @@ class TestStrictCap:
         basis = _row_basis(a)
         projector = basis.T @ basis
         full = _enumerate_orthant_extremum(projector, True, ANGLE_THRESHOLD)
-        capped = _enumerate_orthant_extremum(projector, True, ANGLE_THRESHOLD, subspace_dim=r)
-        assert _enumerate_orthant_extremum(projector, True, max_size=n - r)[0] > full[0]
+        capped = _enumerate_orthant_extremum(projector, True, ANGLE_THRESHOLD, cap=n - r)
+        up_to_cap = _enumerate_orthant_extremum(projector, True, None, _sizes_at_most(n, n - r))
+        assert up_to_cap[0] > full[0]
         assert capped[0] == full[0]
         assert np.array_equal(capped[1], full[1])
 
@@ -298,6 +310,6 @@ class TestStrictCap:
         table = _realizable_supports(basis * signs)
         full = _enumerate_orthant_extremum(conj, True, ANGLE_THRESHOLD, table)
         capped = _enumerate_orthant_extremum(conj, True, ANGLE_THRESHOLD, table,
-                                             subspace_dim=len(basis))
+                                             cap=len(conj) - len(basis))
         assert capped[0] == full[0]
         assert np.array_equal(capped[1], full[1])
