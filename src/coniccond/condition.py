@@ -214,7 +214,7 @@ def analyze(cone: Cone, w: Subspace | None, seed: int = 0, a=None,
     raises ValueError.  The Renegar condition and the flip witness need
     ``a``.
     With ``exact_angles=False`` the angle of a side that touches the cone
-    is only certified to be at most ANGLE_THRESHOLD (see
+    may only be certified to be at most ANGLE_THRESHOLD (see
     primal_dual_angles); the classification, the Grassmann and Renegar
     conditions and the flip witness do not change.
     """

@@ -25,10 +25,9 @@ the intersection of a cone with the unit sphere:
   multistart projected-gradient search is used and the spread of the
   best converged values is reported as an uncertainty gap.
 
-primal_dual_angles solves the side with the smaller subspace first.
-With exact_angles=False a touching side is only certified to lie within
-ANGLE_THRESHOLD: from the point where its enumeration stopped, or from
-the KKT point of the strict side's witness (_certify_touches).
+primal_dual_angles solves the strict side first where the realizable
+table shows it; with exact_angles=False the other side is then only
+certified to lie within ANGLE_THRESHOLD (_certify_touches).
 """
 
 from __future__ import annotations
@@ -436,8 +435,7 @@ def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
     return table
 
 
-def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=None,
-                                realizable=None, cap=None):
+def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=None, cap=None):
     """Exact extremum of y^T M y over unit y >= 0 by support enumeration.
 
     The extremizer restricted to its support F is an eigenvector of
@@ -446,28 +444,23 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
     Sizes are visited from n down to 1; neither the value nor the
     tie-break depends on that order.
 
-    With ``realizable`` (a table from _realizable_supports) only the
-    supports it marks are solved, each as in the full enumeration, so an
-    accepted value keeps its bits.
-
-    With ``stop_angle`` (maximizing a projector, whose values are squared
-    cosines) the enumeration returns after the first size whose best
-    accepted value is at angle ``stop_angle`` or below: the best
-    candidate of the sizes visited so far, not the maximum.
+    With ``realizable`` (a table from _realizable_supports, for a maximum
+    only) only the supports it marks are solved, each as in the full
+    enumeration, so an accepted value keeps its bits.
 
     With ``cap`` = k, the rank of a positive semidefinite form K: K = M
     for a minimum (M = A^T A, A with k rows), K = I - M for a maximum (M
     the projector onto W, k = n - dim W).  Every support of more than k
     coordinates meets the kernel of K, so an accepted one would give a
     point of the orthant near that kernel.  The supports of at most k
-    coordinates are solved first, unless ``realizable`` marks the full
-    support (then W meets the orthant's interior).  Let x be their best
-    candidate and w = K x.  When min w > GORDAN_MARGIN (||K|| x^T K x)^(1/2),
-    w > 0 and Gordan's alternative keep the kernel of K away from the
-    orthant, so no larger support can be accepted (see GORDAN_MARGIN),
-    and x is returned with the bits of the full enumeration.  Otherwise
-    the larger sizes are solved as well, and the stop rule is replayed
-    from size n down over the results of every size.
+    coordinates are solved first.  Let x be their best candidate and
+    w = K x', where a maximum's x' adds ||K x|| e_i to x for each i with
+    M_ii = 0 (there K e_i = e_i), and a minimum's x' = x.
+    When min w > GORDAN_MARGIN (||K|| x'^T K x')^(1/2), w > 0 and Gordan's
+    alternative keep the kernel of K away from the orthant, so no larger
+    support can be accepted (see GORDAN_MARGIN), and x is returned with
+    the bits of the full enumeration.  Otherwise the larger sizes are
+    solved as well, and the best candidate of every size is returned.
 
     Every route keeps one table of skipped supports, which starts as the
     supports ``realizable`` leaves out.  A minimum also skips every
@@ -477,8 +470,11 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
     A computed eigenvalue errs by about n eps ||M||, far below
     TIE_TOL max(1, ||M||_inf), so a skipped support's value would exceed
     the final best by more than TIE_TOL: it could neither win nor tie,
-    and the result keeps its bits.
+    and the result keeps its bits.  A minimum refuses a table, whose
+    holes that cascade would spread.
     """
+    if realizable is not None and not maximize:
+        raise ValueError("a realizable table serves only a maximum")
     n = m_mat.shape[0]
     sym = 0.5 * (m_mat + m_mat.T)
     skipped = np.zeros(1 << n, dtype=bool) if realizable is None else ~realizable
@@ -494,7 +490,6 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
     accepted_by_size = {}
 
     def solve(sizes):
-        """Solve the sizes in the order given; the size the stop rule ended at, or None."""
         nonlocal best
         for size in sizes:
             combos, masks = _support_table(n, size)
@@ -518,25 +513,19 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, stop_angle=No
             if not maximize:
                 best = min(best, float(lams.min(initial=np.inf)))
                 skipped[masks[eigvals[:, 0] > best + margin]] = True
-            if (stop_angle is not None and lams.size
-                    and _angle_of_cos2(float(lams.max())) <= stop_angle):
-                return size
-        return None
 
     def certified(x):
-        """Whether w = K x exceeds GORDAN_MARGIN (||K|| x^T K x)^(1/2) in every entry."""
+        """Whether w = K x' exceeds GORDAN_MARGIN (||K|| x'^T K x')^(1/2) in every entry."""
+        if maximize:
+            x = x + np.linalg.norm(x - sym @ x) * (np.diag(sym) == 0.0)
         w = x - sym @ x if maximize else sym @ x
         return float(w.min()) > GORDAN_MARGIN * np.sqrt(max(norm_k * float(x @ w), 0.0))
 
-    touches = realizable is not None and realizable[-1]
-    first = n if cap is None or touches else min(n, cap)
-    stopped = solve(range(first, 0, -1))
+    first = n if cap is None else min(n, cap)
+    solve(range(first, 0, -1))
     result = _best_candidate(accepted_by_size.values(), maximize, n)
-    if first < n and (stopped is not None or result is None or not certified(result[1])):
-        stopped = solve(range(n, first, -1))
-        if stopped is not None:
-            # From size n down the stop rule ends here, above the sizes solved first.
-            accepted_by_size = {s: c for s, c in accepted_by_size.items() if s >= stopped}
+    if first < n and (result is None or not certified(result[1])):
+        solve(range(n, first, -1))
         result = _best_candidate(accepted_by_size.values(), maximize, n)
     return result
 
@@ -612,6 +601,22 @@ def _multistart_extremum(m_mat, cone, maximize, seed, count):
     return results[0][0], results[0][1], values
 
 
+# Default of the private ``_table`` keywords: the route rule builds the table.
+_BUILD = object()
+
+
+def _route_table(cone: Cone, basis: np.ndarray) -> np.ndarray | None:
+    """The realizable table of the angle between ``cone`` and the row span of ``basis``, or None.
+
+    The route rule: a sign-orthant of n coordinates, REALIZABLE_MIN_DIM <= n
+    <= EXACT_ENUM_LIMIT and 2k <= n for k orthonormal rows in ``basis``.
+    """
+    signs, (k, n) = cone.orthant_signs, basis.shape
+    if signs is None or not REALIZABLE_MIN_DIM <= n <= EXACT_ENUM_LIMIT or 2 * k > n:
+        return None
+    return _realizable_supports(basis * signs)
+
+
 def extremize_quadratic_over_cone(
     m_mat,
     cone: Cone,
@@ -619,7 +624,7 @@ def extremize_quadratic_over_cone(
     seed: int = 0,
     multistart_count: int = MULTISTART_COUNT,
     *,
-    _stop_angle: float | None = None,
+    _table=_BUILD,
     _factor: np.ndarray | None = None,
 ) -> QuadraticExtremum:
     """Extremize x^T M x over the unit vectors of a cone.
@@ -627,14 +632,14 @@ def extremize_quadratic_over_cone(
     Exact support enumeration when the cone is sign-isomorphic to an
     orthant (Cone.orthant_signs) of dimension <= EXACT_ENUM_LIMIT,
     multistart otherwise.
-    ``_stop_angle`` lets the enumeration stop early; see
-    cone_subspace_angle.  ``_factor`` is an F with M = F^T F (k rows):
-    the matrix A for the dual-route minimum, or for a maximum a B with
-    orthonormal rows, so that M is the projector onto W = row span of B.
-    A minimum then stops at k coordinates, a maximum at n - k, wherever
-    Gordan's alternative certifies that cap (_enumerate_orthant_extremum);
-    a maximum also solves only realizable supports when
-    REALIZABLE_MIN_DIM <= n and 2k <= n, where that route is faster.
+    ``_factor`` is an F with M = F^T F (k rows): the matrix A for the
+    dual-route minimum, or for a maximum a B with orthonormal rows, so
+    that M is the projector onto W = row span of B.  A minimum then stops
+    at k coordinates, a maximum at n - k, wherever Gordan's alternative
+    certifies that cap (_enumerate_orthant_extremum); a maximum also
+    solves only the realizable supports where the route rule takes them
+    (_route_table).  ``_table`` is that table, or None, when the caller
+    has built it already.
     """
     m_mat = np.asarray(m_mat, dtype=float)
     if m_mat.shape != (cone.dim, cone.dim):
@@ -642,13 +647,12 @@ def extremize_quadratic_over_cone(
     signs = cone.orthant_signs
     if signs is not None and cone.dim <= EXACT_ENUM_LIMIT:
         conj = signs[:, None] * m_mat * signs[None, :]
-        n, realizable, cap = cone.dim, None, None
+        cap = table = None
         if _factor is not None:
-            k = len(_factor)
-            cap = n - k if maximize else k
-            if maximize and REALIZABLE_MIN_DIM <= n and 2 * k <= n:
-                realizable = _realizable_supports(_factor * signs)
-        val, y = _enumerate_orthant_extremum(conj, maximize, _stop_angle, realizable, cap)
+            cap = cone.dim - len(_factor) if maximize else len(_factor)
+            if maximize:
+                table = _route_table(cone, _factor) if _table is _BUILD else _table
+        val, y = _enumerate_orthant_extremum(conj, maximize, table, cap)
         return QuadraticExtremum(
             value=val, point=signs * y, method="exact", converged_values=np.array([val])
         )
@@ -674,30 +678,21 @@ class ConeAngleResult:
     certified_gap: float         # bound on underestimation of cos(angle)
 
 
-def _certificate(angle: float, witness: np.ndarray) -> ConeAngleResult:
-    return ConeAngleResult(angle=angle, witness=witness, method="certificate",
-                           certified_gap=float(1.0 - np.cos(angle)))
-
-
 def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0, *,
-                        _stop_angle: float | None = None) -> ConeAngleResult:
+                        _table=_BUILD) -> ConeAngleResult:
     """Angle(C, W) = arccos of the max of ||proj_W x|| over unit x in C.
 
     Zero when the subspace meets the cone nontrivially.  The returned
     gap is 0 for the exact path and the spread of the best converged
-    cosines for the multistart path.  With ``_stop_angle`` (set by
-    primal_dual_angles) the exact path returns the first point it finds
-    at that angle or below, as a "certificate"; an angle above it is
-    exact, bit for bit.
+    cosines for the multistart path.  ``_table`` is the realizable table
+    of this angle, or None, when primal_dual_angles has built it already.
     """
     if cone.dim != w.ambient_dim:
         raise DimensionError(f"cone dimension {cone.dim} != ambient {w.ambient_dim}")
     ext = extremize_quadratic_over_cone(w.projector(), cone, maximize=True, seed=seed,
-                                        _stop_angle=_stop_angle, _factor=w.basis)
+                                        _table=_table, _factor=w.basis)
     angle = _angle_of_cos2(ext.value)
     if ext.method == "exact":
-        if _stop_angle is not None and angle <= _stop_angle:
-            return _certificate(angle, ext.point)
         gap = 0.0
     else:
         cosines = np.sqrt(np.clip(ext.converged_values, 0.0, 1.0))
@@ -724,7 +719,10 @@ def _certify_touches(cone: Cone, solved: Subspace, other: Subspace,
         return None
     v = v / norm
     angle = _angle_of_cos2(float(v @ other.projector() @ v))
-    return _certificate(angle, v) if angle <= ANGLE_THRESHOLD else None
+    if angle > ANGLE_THRESHOLD:
+        return None
+    return ConeAngleResult(angle=angle, witness=v, method="certificate",
+                           certified_gap=float(1.0 - np.cos(angle)))
 
 
 def primal_dual_angles(cone: Cone, w: Subspace, seed: int = 0,
@@ -732,28 +730,27 @@ def primal_dual_angles(cone: Cone, w: Subspace, seed: int = 0,
     """angle(C, W) and angle(dual C, W_perp), solved once each.
 
     Every feasibility and condition quantity of W derives from this pair.
-    With ``exact_angles=False`` only an angle above ANGLE_THRESHOLD is
-    solved exactly; the angle of a side that touches the cone is a
-    "certificate" that it is at most the threshold: a point where the
-    enumeration stopped, or, when the other side is strict and exact, a
-    point built from its witness.  The side with the smaller subspace is
-    solved first whatever ``exact_angles`` says, since in random
-    ensembles it is usually the strict one; the order changes no angle.
-    Multistart results are never stopped or certified.
+    The side with the smaller subspace (W on a tie) is solved first,
+    unless its realizable table (_route_table) marks the full support:
+    that side touches, so the other one goes first.  The order changes
+    no angle.  With ``exact_angles=False``, when the first angle is exact
+    and above ANGLE_THRESHOLD, the second is only a "certificate" that it
+    is at most the threshold (_certify_touches), or exact if that fails.
+    Multistart results are never certified.
     """
-    stop = None if exact_angles else ANGLE_THRESHOLD
-    perp = complement(w)
-    swap = perp.dim < w.dim
-    sides = [(cone, w), (dual_cone(cone), perp)]
-    (first_cone, first_w), (second_cone, second_w) = sides[::-1] if swap else sides
-    first = cone_subspace_angle(first_cone, first_w, seed=seed, _stop_angle=stop)
+    sides = sorted([(cone, w), (dual_cone(cone), complement(w))], key=lambda side: side[1].dim)
+    tables = [_route_table(sides[0][0], sides[0][1].basis), _BUILD]
+    if tables[0] is not None and tables[0][-1]:
+        sides.reverse()
+        tables.reverse()
+    (first_cone, first_w), (second_cone, second_w) = sides
+    first = cone_subspace_angle(first_cone, first_w, seed=seed, _table=tables[0])
     second = None
-    # With the stop on, an "exact" angle is a strict one.
-    if stop is not None and first.method == "exact":
+    if not exact_angles and first.method == "exact" and first.angle > ANGLE_THRESHOLD:
         second = _certify_touches(second_cone, first_w, second_w, first.witness)
     if second is None:
-        second = cone_subspace_angle(second_cone, second_w, seed=seed, _stop_angle=stop)
-    return (second, first) if swap else (first, second)
+        second = cone_subspace_angle(second_cone, second_w, seed=seed, _table=tables[1])
+    return (first, second) if first_w is w else (second, first)
 
 
 class Feasibility(enum.Enum):

@@ -22,13 +22,14 @@ TIE_TOL = 1e-12
 # An exact extremum skips the supports of more than k coordinates, k the rank of a form K
 # (A^T A for the dual-route minimum, I - P for the maximum of the projector P onto W), when
 # w = K x exceeds this times (||K|| x^T K x)^(1/2) in every entry, x the best smaller
-# candidate (Gordan's alternative).  A larger support meets the kernel of K; were it
-# accepted, its eigenvector v would have ||K^(1/2) v|| <= (sqrt(n eps) + SIGNABLE_TOL
-# sqrt(n)) ||K||^(1/2), at most 6.4e-8 ||K||^(1/2) for n <= 16, and since w > 0 and v >= 0,
-# min w <~ w.v <= (x^T K x)^(1/2) ||K^(1/2) v|| by Cauchy-Schwarz.  The factor of 15 between
-# the two covers the rounding of w: passing needs q_i / R(A) > this (minimum, witness q) or
-# sin(angle) x_i > this (maximum), so the bound exceeds 1e-12 ||K||, far above the
-# n eps ||K|| error of w.
+# candidate (Gordan's alternative), or for a maximum that candidate plus ||K x|| e_i for
+# each i with P_ii = 0, where K e_i = e_i: what follows holds for any x.  A larger support
+# meets the kernel of K; were it accepted, its eigenvector v would have ||K^(1/2) v|| <=
+# (sqrt(n eps) + SIGNABLE_TOL sqrt(n)) ||K||^(1/2), at most 6.4e-8 ||K||^(1/2) for n <= 16,
+# and since w > 0 and v >= 0, min w <~ w.v <= (x^T K x)^(1/2) ||K^(1/2) v|| by
+# Cauchy-Schwarz.  The factor of 15 between the two covers the rounding of w: passing needs
+# q_i / R(A) > this (minimum, witness q) or sin(angle) x_i > this (maximum), so the bound
+# exceeds 1e-12 ||K||, far above the n eps ||K|| error of w.
 GORDAN_MARGIN = 1e-6
 # Relative cofactor rays or off-ray entries of B^T rho this small void general position.
 GENERAL_POSITION_TOL = 1e-6

@@ -89,7 +89,8 @@ class TestSolveCounts:
     def test_one_trial_solves_at_most_three(self, solves, no_threads, seed):
         # Primal strict: the primal angle, the dual side certified from its
         # witness.  Dual strict: both angles and the dual-route minimum.
-        # Ill posed: both angles, each stopped at the threshold.
+        # Ill posed: both angles.  n = 6 takes no realizable table, so a
+        # touching side solved first is solved in full.
         (record,) = run_experiment(ExperimentConfig(n=6, m=3, trials=1, seed=seed))
         expected = {"primal_strict": 1, "dual_strict": 3, "ill_posed": 2}[record.status]
         assert len(solves) == expected
@@ -99,7 +100,7 @@ class TestSolveCounts:
         # m > n/2, so the dual angle comes first.  Dual strict (seeds 0-2):
         # the dual angle, the primal side certified from its witness, then
         # the dual-route minimum.  Primal strict (seeds 8, 12): the dual
-        # angle, stopped at the threshold, then the primal angle.
+        # angle, solved in full, then the primal angle.
         (record,) = run_experiment(ExperimentConfig(n=6, m=4, trials=1, seed=seed))
         assert record.status == ("primal_strict" if seed in (8, 12) else "dual_strict")
         assert len(solves) == 2

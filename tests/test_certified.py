@@ -1,6 +1,8 @@
 """Certified classification: exact strict angles, certified touching ones."""
 
+import inspect
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,8 +21,7 @@ from coniccond import (
     dual_cone,
     subspace_from_rowspan,
 )
-from coniccond.cones import (ANGLE_THRESHOLD, _angle_of_cos2, _enumerate_orthant_extremum,
-                             primal_dual_angles)
+from coniccond.cones import ANGLE_THRESHOLD, _enumerate_orthant_extremum, primal_dual_angles
 from conftest import orthant_like
 
 
@@ -47,6 +48,13 @@ def instances(draw):
     return cone, subspace_from_rowspan(a)
 
 
+def _same(result, other):
+    """Whether two ConeAngleResults agree bit for bit."""
+    return (result.method == other.method and result.angle == other.angle
+            and result.certified_gap == other.certified_gap
+            and np.array_equal(result.witness, other.witness))
+
+
 class TestCertifiedAngles:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(instances())
@@ -67,6 +75,10 @@ class TestCertifiedAngles:
                 # The strict side is the full enumeration, bit for bit.
                 assert cert.method == "exact", side
                 assert cert.angle == full.angle, side
+                assert np.array_equal(cert.witness, full.witness), side
+            elif cert.method == "exact":
+                # Solved in full: no table showed it touching, or the certificate failed.
+                assert cert.angle == full.angle <= ANGLE_THRESHOLD, side
                 assert np.array_equal(cert.witness, full.witness), side
             else:
                 assert cert.method == "certificate", side
@@ -96,8 +108,9 @@ class TestCertificatePaths:
         w = subspace_from_rowspan(np.array([[1.0, -2.0, 0.5, 0.0], [0.0, 1.0, -1.5, -0.4]]))
         primal, dual = primal_dual_angles(Orthant(4), w, exact_angles=False)
         assert primal.method == "exact" and primal.angle > ANGLE_THRESHOLD
-        # The dual enumeration itself stops at the first touching point.
-        assert dual.method == "certificate" and dual.angle <= ANGLE_THRESHOLD
+        # The dual side is solved exactly instead.
+        assert dual.method == "exact" and dual.angle <= ANGLE_THRESHOLD
+        assert _same(dual, primal_dual_angles(Orthant(4), w)[1])
 
     def test_dual_strict_certifies_primal_from_witness(self):
         # dim W_perp = 2 < dim W = 4: the dual side is solved first and the
@@ -119,14 +132,20 @@ class TestCertificatePaths:
         w = subspace_from_rowspan(np.random.default_rng(0).standard_normal((4, 6)))
         primal, dual = primal_dual_angles(Orthant(6), w, exact_angles=False)
         assert dual.method == "exact" and dual.angle > ANGLE_THRESHOLD
-        # The primal enumeration itself stops at the first touching point.
-        assert primal.method == "certificate" and primal.angle <= ANGLE_THRESHOLD
+        # The primal side is solved exactly instead.
+        assert primal.method == "exact" and primal.angle <= ANGLE_THRESHOLD
+        assert _same(primal, primal_dual_angles(Orthant(6), w)[0])
 
     def test_dual_strict_stops_primal(self):
+        # n = 4 takes no realizable table, so nothing shows that the primal side,
+        # solved first (dim W = dim W_perp), touches: it is solved in full, and
+        # the dual side after it.
         w = subspace_from_rowspan(np.array([[1.0, 2.0, 0.5, 1.5], [0.3, -1.0, 1.2, 0.4]]))
         primal, dual = primal_dual_angles(Orthant(4), w, exact_angles=False)
-        assert primal.method == "certificate" and primal.angle <= ANGLE_THRESHOLD
+        assert primal.method == "exact" and primal.angle <= ANGLE_THRESHOLD
         assert dual.method == "exact" and dual.angle > ANGLE_THRESHOLD
+        exact = primal_dual_angles(Orthant(4), w)
+        assert _same(primal, exact[0]) and _same(dual, exact[1])
 
     def test_multistart_is_never_certified(self):
         w = subspace_from_rowspan(np.array([[1.0, 0.0, 0.0, 0.0]]))
@@ -139,38 +158,40 @@ class TestCertificatePaths:
         assert [r.method for r in primal_dual_angles(Orthant(4), w)] == ["exact", "exact"]
 
 
-class TestStoppedEnumeration:
-    def test_stopped_result_is_accepted_candidate_above_stop_value(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        basis = np.linalg.qr(rng.standard_normal((8, 3)))[0].T
-        projector = basis.T @ basis
-        full_value, _ = _enumerate_orthant_extremum(projector, True)
-        stop_angle = _angle_of_cos2(full_value) + 0.3
-        original, sizes = np.linalg.eigh, []
+@st.composite
+def gaussian_instances(draw):
+    """A sign-orthant cone with 7 <= n <= 12 and a Gaussian m x n matrix, any m < n."""
+    blocks = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 6)), min_size=1, max_size=3)
+                  .filter(lambda b: 7 <= sum(k for _, k in b) <= 12))
+    cone = orthant_like(blocks)
+    m = draw(st.integers(1, cone.dim - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return cone, rng.standard_normal((m, cone.dim))
 
-        def counted(subs):
-            sizes.append(subs.shape[-1])
-            return original(subs)
 
-        monkeypatch.setattr(coniccond.cones.np.linalg, "eigh", counted)
-        value, point = _enumerate_orthant_extremum(projector, True, stop_angle)
-        assert len(sizes) < 8, "the enumeration did not stop early"
-        assert sizes == list(range(8, 8 - len(sizes), -1))
-        # At or above the stop value, and never above the maximum.
-        assert _angle_of_cos2(value) <= stop_angle
-        assert value <= full_value
-        # An accepted candidate: a nonnegative unit eigenvector of its
-        # support's principal submatrix, with eigenvalue ``value``.
-        assert np.all(point >= 0.0) and np.linalg.norm(point) == pytest.approx(1.0)
-        support = np.flatnonzero(point)
-        sub = projector[np.ix_(support, support)]
-        assert np.allclose(sub @ point[support], value * point[support], atol=1e-12)
+class TestSideOrder:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(gaussian_instances())
+    def test_touching_table_side_is_never_enumerated(self, instance):
+        # Trials solve the strict side and certify the other one; every number
+        # equals that of the exact pair, and a side whose realizable table marks
+        # the full support (its subspace meets the cone's interior) is not solved.
+        cone, a = instance
+        exact = analyze(cone, None, a=a)
+        original = _enumerate_orthant_extremum
+        signature = inspect.signature(original)
+        tables = []
 
-    def test_unreached_stop_is_full_enumeration(self):
-        rng = np.random.default_rng(5)
-        basis = np.linalg.qr(rng.standard_normal((7, 2)))[0].T
-        projector = basis.T @ basis
-        full_value, full_point = _enumerate_orthant_extremum(projector, True)
-        assert _angle_of_cos2(full_value) > ANGLE_THRESHOLD
-        value, point = _enumerate_orthant_extremum(projector, True, ANGLE_THRESHOLD)
-        assert value == full_value and np.array_equal(point, full_point)
+        def spy(*args, **kwargs):
+            tables.append(signature.bind(*args, **kwargs).arguments.get("realizable"))
+            return original(*args, **kwargs)
+
+        with mock.patch.object(coniccond.cones, "_enumerate_orthant_extremum", spy):
+            trial = analyze(cone, None, a=a, exact_angles=False)
+        assert tables
+        assert not any(table is not None and table[-1] for table in tables)
+        assert trial.status.tag is exact.status.tag
+        strict = "primal" if exact.status.primal_angle > ANGLE_THRESHOLD else "dual"
+        assert _same(getattr(trial, strict), getattr(exact, strict))
+        assert trial.grassmann == exact.grassmann
+        assert trial.renegar() == exact.renegar()

@@ -12,7 +12,7 @@ from coniccond import Orthant, Subspace, cone_subspace_angle
 from coniccond.cones import (REALIZABLE_MIN_DIM, _angle_of_cos2, _enumerate_orthant_extremum,
                              _realizable_supports, extremize_quadratic_over_cone)
 from coniccond.grassmann import complement
-from coniccond.tolerances import ANGLE_THRESHOLD, GORDAN_MARGIN
+from coniccond.tolerances import GORDAN_MARGIN
 from conftest import full_orthant_minimum, orthant_like
 
 
@@ -78,7 +78,7 @@ class TestRealizableRoute:
         # Every r, not only those the route rule sends to the table.
         table = _realizable_supports(basis * signs)
         if table is not None:
-            value, point = _enumerate_orthant_extremum(conj, True, None, table)
+            value, point = _enumerate_orthant_extremum(conj, True, table)
             assert value == full[0]
             assert np.array_equal(point, full[1])
         ext = extremize_quadratic_over_cone(basis.T @ basis, cone, True, _factor=basis)
@@ -209,13 +209,20 @@ class TestFullRouteFallback:
         assert _realizable_supports(basis) is None
         solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True,
                                        _factor=basis)
-        if degeneracy == "duplicated column":
-            # Strict: every support of at most n - r = 7 coordinates.
-            assert solved == _supports_up_to(10, 7) == 967
-        else:
-            # The boundary point touches.  The zero column is strict, but e_4 lies in
-            # W_perp, so z = x - P x has z_4 = 0 and the certificate is refused.
+        if degeneracy == "boundary point":
+            # The boundary point touches.
             assert solved == 2**10 - 1
+        else:
+            # Strict: every support of at most n - r = 7 coordinates.  With the zero
+            # column e_4 lies in W_perp, so (x - P x)_4 = 0; the certificate adds
+            # ||x - P x|| e_4, which stays in W_perp.
+            assert solved == _supports_up_to(10, 7) == 967
+            monkeypatch.undo()
+            full = _enumerate_orthant_extremum(basis.T @ basis, True)
+            ext = extremize_quadratic_over_cone(basis.T @ basis, Orthant(10), True,
+                                                _factor=basis)
+            assert ext.value == full[0]
+            assert np.array_equal(ext.point, full[1])
 
     def test_minimization_takes_the_full_route(self):
         # Here the realizable table misses the minimizer's support (its
@@ -227,6 +234,12 @@ class TestFullRouteFallback:
         value, point = full_orthant_minimum(basis.T @ basis)
         assert ext.value == value
         assert np.array_equal(ext.point, point)
+
+    def test_minimum_refuses_a_table(self):
+        # The prune would skip every support below one the table leaves out.
+        basis = _gaussian_basis(8, 3, seed=1)
+        with pytest.raises(ValueError):
+            _enumerate_orthant_extremum(basis.T @ basis, False, realizable=_sizes_at_most(8, 3))
 
     def test_no_basis_takes_the_full_route(self, monkeypatch):
         basis = _gaussian_basis(10, 3, seed=1)
@@ -272,7 +285,7 @@ class TestStrictCap:
         basis = _row_basis(a)
         projector = basis.T @ basis
         assert _realizable_supports(basis) is None
-        _, capped = _enumerate_orthant_extremum(projector, True, None, _sizes_at_most(n, n - r))
+        _, capped = _enumerate_orthant_extremum(projector, True, _sizes_at_most(n, n - r))
         assert (capped - projector @ capped).min() <= GORDAN_MARGIN
         solved = _solved_by_size(monkeypatch, projector, Orthant(n), True, _factor=basis)
         assert solved == {size: math.comb(n, size) for size in range(1, n + 1)}
@@ -284,32 +297,20 @@ class TestStrictCap:
         assert ext.value == full[0]
         assert np.array_equal(ext.point, full[1])
 
-    def test_touching_side_replays_the_stop_rule(self):
-        # W through a face point: the stop rule ends the full enumeration at
-        # a size above n - r, and a size at most n - r, solved first, holds a
-        # larger value that the full enumeration never reaches.
-        n, r = 8, 2
-        rng = np.random.default_rng(12)
-        a = rng.standard_normal((r, n))
-        a[0] = _near_face(rng, np.ones(n), eps=0.0)
-        basis = _row_basis(a)
+    def test_certificate_below_the_margin_solves_every_size(self, monkeypatch):
+        # W = span(u) misses the orthant at sin(angle) = 0.01.  At the best support of
+        # at most n - r = 4 coordinates, w = x - P x is positive, 5e-9 at its least,
+        # but below GORDAN_MARGIN (x^T w)^(1/2) = 1e-8, so the full support is solved too.
+        u = np.array([0.6, 0.5, 0.6, -1e-2, -5e-9])
+        basis = (u / np.linalg.norm(u))[None, :]
         projector = basis.T @ basis
-        full = _enumerate_orthant_extremum(projector, True, ANGLE_THRESHOLD)
-        capped = _enumerate_orthant_extremum(projector, True, ANGLE_THRESHOLD, cap=n - r)
-        up_to_cap = _enumerate_orthant_extremum(projector, True, None, _sizes_at_most(n, n - r))
-        assert up_to_cap[0] > full[0]
-        assert capped[0] == full[0]
-        assert np.array_equal(capped[1], full[1])
-
-    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(arrangements())
-    def test_stopped_cap_is_the_stopped_full_enumeration_bit_for_bit(self, arrangement):
-        cone, basis = arrangement
-        signs = cone.orthant_signs
-        conj = basis.T @ basis * np.outer(signs, signs)
-        table = _realizable_supports(basis * signs)
-        full = _enumerate_orthant_extremum(conj, True, ANGLE_THRESHOLD, table)
-        capped = _enumerate_orthant_extremum(conj, True, ANGLE_THRESHOLD, table,
-                                             cap=len(conj) - len(basis))
-        assert capped[0] == full[0]
-        assert np.array_equal(capped[1], full[1])
+        _, capped = _enumerate_orthant_extremum(projector, True, _sizes_at_most(5, 4))
+        w = capped - projector @ capped
+        assert 0.0 < w.min() < GORDAN_MARGIN * math.sqrt(capped @ w)
+        solved = _solved_by_size(monkeypatch, projector, Orthant(5), True, _factor=basis)
+        assert solved == {size: math.comb(5, size) for size in range(1, 6)}
+        monkeypatch.undo()
+        full = _enumerate_orthant_extremum(projector, True)
+        ext = extremize_quadratic_over_cone(projector, Orthant(5), True, _factor=basis)
+        assert ext.value == full[0]
+        assert np.array_equal(ext.point, full[1])
