@@ -6,6 +6,14 @@ The cap is found by exhaustive enumeration of candidate support sets of
 at most m points; each subset with a nonsingular Gram matrix determines
 a spherical circumcenter, and both the circumcenter and its antipode are
 tried so caps wider than a hemisphere are found too.
+
+Candidates are scored one support size at a time: the points, then one
+preallocated block holding +c, -c for every kept subset of each size, so
+no per-candidate array is kept.  A block's cosines to the points come
+from a batched matrix-vector product, one gemv per center, which gives
+the bits of ``points @ center``; a matrix-matrix product (gemm) sums in
+another order and can move a radius in its last bit, and with it the
+tie-break.
 """
 
 from __future__ import annotations
@@ -40,7 +48,12 @@ def smallest_enclosing_cap(points) -> SphericalCap:
     circumcenters (both signs) of every subset of 2..m points with a
     nonsingular Gram matrix; the minimal enclosing radius over all
     candidates is exact at this desk scale.  Ties are broken toward the
-    lexicographically smallest boundary index set.
+    lexicographically smallest boundary index set, and among equal sets
+    toward the first candidate: the points, then each support size in
+    turn, its subsets in ``itertools.combinations`` order.  The
+    candidates of one size fill one block, scored in one batched pass
+    whose product is a gemv per center, so every radius has the bits of
+    ``points @ center``.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -48,18 +61,44 @@ def smallest_enclosing_cap(points) -> SphericalCap:
     if pts.size == 0 or pts.shape[0] == 0:
         raise EmptyInput("at least one point is required")
     norms = np.linalg.norm(pts, axis=1)
-    if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+    # The negated test also rejects a NaN norm.
+    if np.any(~(np.abs(norms - 1.0) <= UNIT_NORM_TOL)):
         worst = int(np.argmax(np.abs(norms - 1.0)))
-        raise NonUnitPoint(f"point {worst} has norm {norms[worst]!r}")
-    count, ambient = pts.shape
+        raise NonUnitPoint(f"point {worst} has norm {float(norms[worst])!r}")
 
-    candidates = [pts[i] for i in range(count)]
+    best_center = None
+    best_radius = math.inf
+    best_boundary: tuple[int, ...] = ()
+    for block in _candidate_blocks(pts):
+        # One gemv per center: the same bits as pts @ center.
+        angles = np.matmul(pts[None], block[:, :, None])[:, :, 0]
+        np.clip(angles, -1.0, 1.0, out=angles)
+        np.arccos(angles, out=angles)
+        for row, radius in enumerate(angles.max(axis=1).tolist()):
+            # The negated test also skips a NaN radius.
+            if not radius <= best_radius + CAP_TIE_TOL:
+                continue
+            boundary = _boundary(angles[row], radius)
+            if radius < best_radius - CAP_TIE_TOL or boundary < best_boundary:
+                best_center = block[row].copy()
+                best_radius = radius
+                best_boundary = boundary
+    assert best_center is not None
+    return SphericalCap(center=best_center, radius=best_radius, support=best_boundary)
+
+
+def _candidate_blocks(pts: np.ndarray):
+    """Candidate centers, one array per support size: the points, then +c, -c per subset."""
+    count, ambient = pts.shape
+    yield pts
     for size in range(2, min(ambient, count) + 1):
+        block = np.empty((2 * math.comb(count, size), ambient))
+        kept = 0
         for subset in itertools.combinations(range(count), size):
             sub = pts[list(subset)]
             gram = sub @ sub.T
             # Near-singular Gram matrices are kept: every candidate's radius
-            # is measured below, and caps of radius near pi/2 have them.
+            # is measured, and caps of radius near pi/2 have them.
             try:
                 weights = np.linalg.solve(gram, np.ones(size))
             except np.linalg.LinAlgError:
@@ -69,25 +108,10 @@ def smallest_enclosing_cap(points) -> SphericalCap:
             if norm < CENTER_NORM_FLOOR:
                 continue
             center /= norm
-            candidates.append(center)
-            candidates.append(-center)
-
-    best_center = None
-    best_radius = math.inf
-    best_boundary: tuple[int, ...] = ()
-    for center in candidates:
-        angles = np.arccos(np.clip(pts @ center, -1.0, 1.0))
-        radius = float(angles.max())
-        # The negated test also skips a NaN radius.
-        if not radius <= best_radius + CAP_TIE_TOL:
-            continue
-        boundary = _boundary(angles, radius)
-        if radius < best_radius - CAP_TIE_TOL or boundary < best_boundary:
-            best_center = center
-            best_radius = radius
-            best_boundary = boundary
-    assert best_center is not None
-    return SphericalCap(center=best_center, radius=best_radius, support=best_boundary)
+            block[kept] = center
+            block[kept + 1] = -center
+            kept += 2
+        yield block[:kept]
 
 
 def _boundary(angles: np.ndarray, radius: float) -> tuple[int, ...]:

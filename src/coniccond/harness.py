@@ -322,10 +322,11 @@ def _witness_entry(witness, applies_to: str) -> dict:
 def condition_report(cone: Cone, a, seed: int = 0, include_witnesses: bool = False) -> dict:
     """Full report: feasibility, kappa, Grassmann, Renegar, GCC, estimate.
 
-    The GCC entry appears only for the orthant.  Witnesses, when asked
-    for, describe the minimal flipping perturbation: exact for the input
-    matrix in the dual feasible case, and for its balanced representative
-    in the primal case.
+    The GCC entry appears only for the orthant, and only when no column
+    of A is zero.  Witnesses, when asked for, describe the minimal
+    flipping perturbation: exact for the input matrix in the dual
+    feasible case, and for its balanced representative in the primal
+    case.
     """
     arr = require_matrix(a)
     m, n = arr.shape

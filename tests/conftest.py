@@ -1,12 +1,14 @@
 """Shared helpers for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 
 from coniccond import Negated, Orthant, Product, polar_decompose, subspace_from_rowspan
 from coniccond.harness import gaussian_matrix, trial_stream
-from coniccond.tolerances import SIGNABLE_TOL, TIE_TOL
+from coniccond.tolerances import (CAP_BOUNDARY_TOL, CAP_TIE_TOL, CENTER_NORM_FLOOR,
+                                  SIGNABLE_TOL, TIE_TOL)
 
 
 def stream(seed, index=0):
@@ -69,3 +71,51 @@ def full_orthant_minimum(m_mat, max_size=None):
     point = np.zeros(n)
     point[list(support)] = np.maximum(vec, 0.0)
     return best, point / np.linalg.norm(point)
+
+
+def reference_cap(points):
+    """(center, radius, support) of the smallest cap, one array per candidate center.
+
+    The reference for ``smallest_enclosing_cap``: the points, then the
+    circumcenter and its antipode of every subset of 2..m points with a
+    solvable Gram matrix and a center no shorter than CENTER_NORM_FLOOR,
+    in ``itertools.combinations`` order, each scored by its own
+    ``points @ center``.  A radius within CAP_TIE_TOL of the best is
+    taken when it is smaller by more than CAP_TIE_TOL or its boundary
+    index set is lexicographically smaller.
+    """
+    pts = np.asarray(points, dtype=float)
+    count, ambient = pts.shape
+    candidates = [pts[i] for i in range(count)]
+    for size in range(2, min(ambient, count) + 1):
+        for subset in itertools.combinations(range(count), size):
+            sub = pts[list(subset)]
+            gram = sub @ sub.T
+            try:
+                weights = np.linalg.solve(gram, np.ones(size))
+            except np.linalg.LinAlgError:
+                continue
+            center = sub.T @ weights
+            norm = float(np.linalg.norm(center))
+            if norm < CENTER_NORM_FLOOR:
+                continue
+            center /= norm
+            candidates.append(center)
+            candidates.append(-center)
+
+    best_center = None
+    best_radius = math.inf
+    best_boundary = ()
+    for center in candidates:
+        angles = np.arccos(np.clip(pts @ center, -1.0, 1.0))
+        radius = float(angles.max())
+        if not radius <= best_radius + CAP_TIE_TOL:
+            continue
+        boundary = tuple(int(i) for i in
+                         np.flatnonzero(np.abs(angles - radius) <= CAP_BOUNDARY_TOL))
+        if radius < best_radius - CAP_TIE_TOL or boundary < best_boundary:
+            best_center = center
+            best_radius = radius
+            best_boundary = boundary
+    assert best_center is not None
+    return best_center, best_radius, best_boundary

@@ -5,8 +5,9 @@ Run from the repository root, only when an output change is intended:
     PYTHONPATH=src python tests/data/make_golden.py
 
 It writes tests/data/golden_reports.jsonl (one condition report per fixed
-matrix, with and without witnesses), tests/data/golden_experiment.jsonl
-(the records of ExperimentConfig(n=8, m=4, trials=40, seed=0)) and
+or seeded matrix, with and without witnesses),
+tests/data/golden_experiment.jsonl (the records of
+ExperimentConfig(n=8, m=4, trials=40, seed=0)) and
 tests/data/golden_experiment_n12.jsonl (the records of
 ExperimentConfig(n=12, m=m, trials=12, seed=0) for m = 6, then m = 9).
 """
@@ -16,8 +17,15 @@ import os
 from pathlib import Path
 
 from coniccond import ExperimentConfig, condition_report, parse_cone, run_experiment
+from coniccond.harness import gaussian_matrix, trial_stream
 
 DATA = Path(__file__).resolve().parent
+
+
+def gaussian_case(seed, m, n):
+    """The Gaussian m x n matrix of trial stream (seed, 0), as nested lists."""
+    return gaussian_matrix(trial_stream(seed, 0), m, n).tolist()
+
 
 # (name, cone spec, matrix): one instance per route through the report.
 CASES = (
@@ -38,6 +46,13 @@ CASES = (
      [[1.0, 0.5, 2.0, 0.3, 1.2, 0.8, 1.5, 0.2, 0.9, 1.1, 0.6, 1.4],
       [0.4, -1.0, 0.7, 1.3, -0.5, 0.2, -1.2, 0.9, 0.1, -0.3, 1.0, -0.8],
       [-0.6, 0.3, -0.2, 0.5, 1.1, -1.4, 0.4, -0.7, 1.2, 0.8, -0.9, 0.1]]),
+    # Wide GCC caps: the smallest enclosing cap of the columns is supported
+    # by 5, 5, 6 and 7 of them, with radius below pi/2 on the dual strict
+    # cases and above it on the primal strict ones.
+    ("orthant-5x10-dual-strict", "orthant:10", gaussian_case(1, 5, 10)),
+    ("orthant-5x10-primal-strict", "orthant:10", gaussian_case(2, 5, 10)),
+    ("orthant-7x10-dual-strict", "orthant:10", gaussian_case(0, 7, 10)),
+    ("orthant-7x10-primal-strict", "orthant:10", gaussian_case(74, 7, 10)),
 )
 EXPERIMENT = dict(n=8, m=4, trials=40, seed=0)
 # Dual strict trials at n = 12 take the pruned, rank-capped dual-route minimum.

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coniccond import (
     EmptyInput,
@@ -14,7 +17,7 @@ from coniccond import (
     smallest_enclosing_cap,
     subspace_from_rowspan,
 )
-from conftest import random_matrix, random_orthogonal, stream
+from conftest import random_matrix, random_orthogonal, reference_cap, stream
 
 SQ2 = math.sqrt(2.0)
 
@@ -112,6 +115,96 @@ class TestSmallestEnclosingCap:
         with pytest.raises(NonUnitPoint):
             smallest_enclosing_cap(np.array([[1.0, 1.0]]))
 
+    def test_nan_point_rejected(self):
+        with pytest.raises(NonUnitPoint, match="point 0 has norm nan"):
+            smallest_enclosing_cap([[math.nan, 0.0]])
+
+    def test_nan_among_unit_points_rejected(self):
+        with pytest.raises(NonUnitPoint, match="point 1 has norm nan"):
+            smallest_enclosing_cap([[1.0, 0.0], [math.nan, 0.0], [0.0, 1.0]])
+
+
+def _unit_rows(x):
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def _gaussian_points(rng, count, m):
+    return _unit_rows(random_matrix(rng, count, m))
+
+
+def _point_set(kind, rng, m, count):
+    """count unit points in R^m of the given kind."""
+    if kind == "gaussian":
+        return _gaussian_points(rng, count, m)
+    if kind == "duplicated":
+        # At least one exact repeat, so some Gram matrices are exactly singular.
+        base = _gaussian_points(rng, max(1, count - 1 - int(rng.integers(count))), m)
+        rows = np.concatenate([np.arange(len(base)),
+                               rng.integers(0, len(base), count - len(base))])
+        return base[rng.permutation(rows)]
+    if kind == "antipodal":
+        base = _gaussian_points(rng, (count + 1) // 2, m)
+        return np.vstack([base, -base])[rng.permutation(2 * len(base))[:count]]
+    q = random_orthogonal(rng, m)
+    t = 2.0 * math.pi * rng.random(count)
+    if kind == "great_circle":
+        return _unit_rows(np.outer(np.cos(t), q[0]) + np.outer(np.sin(t), q[1]))
+    # near_right_angle: equator points around axis q[0], each in an antipodal
+    # pair so no smaller cap holds them, lifted off the equator by at most 1e-6.
+    equator = _unit_rows(random_matrix(rng, (count + 1) // 2, m - 1) @ q[1:])
+    equator = np.vstack([equator, -equator])[:count]
+    lift = 1e-6 * (2.0 * rng.random(count) - 1.0)
+    return _unit_rows(np.cos(lift)[:, None] * equator + np.outer(np.sin(lift), q[0]))
+
+
+def _plus_minus_simplex(m):
+    """The m + 1 vertices of a regular simplex in R^m, and their antipodes."""
+    centered = np.eye(m + 1) - 1.0 / (m + 1)
+    basis = np.linalg.svd(centered)[0][:, :m]
+    vertices = _unit_rows(centered @ basis)
+    return np.vstack([vertices, -vertices])
+
+
+def _cube_vertices(m):
+    return np.array(list(itertools.product((1.0, -1.0), repeat=m))) / math.sqrt(m)
+
+
+def _assert_matches_reference(pts):
+    cap = smallest_enclosing_cap(pts)
+    center, radius, support = reference_cap(pts)
+    np.testing.assert_array_equal(cap.center, center)
+    assert cap.radius == radius
+    assert cap.support == support
+
+
+class TestMatchesReference:
+    """The batched candidate scoring gives the per-candidate loop's cap, bit for bit."""
+
+    @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(kind=st.sampled_from(["gaussian", "duplicated", "antipodal", "great_circle",
+                                 "near_right_angle"]),
+           seed=st.integers(0, 2**32 - 1), m=st.integers(1, 6), count=st.integers(1, 10))
+    def test_random_point_sets(self, kind, seed, m, count):
+        if m == 1 and kind in ("great_circle", "near_right_angle"):
+            m = 2
+        _assert_matches_reference(_point_set(kind, stream(seed), m, count))
+
+    def test_near_right_angle_caps_are_near_right_angles(self):
+        for seed in range(20):
+            pts = _point_set("near_right_angle", stream(seed), 2 + seed % 5, 2 + seed % 9)
+            assert abs(reference_cap(pts)[1] - math.pi / 2.0) <= 1e-6
+
+    @pytest.mark.parametrize("pts", [
+        *(_plus_minus_simplex(m) for m in range(1, 5)),
+        *(_cube_vertices(m) for m in range(1, 4)),
+        *(_plus_minus_simplex(m) @ random_orthogonal(stream(m), m).T for m in range(2, 5)),
+        *(_cube_vertices(m) @ random_orthogonal(stream(m), m).T for m in range(2, 4)),
+    ], ids=[*(f"pm-simplex-{m}" for m in range(1, 5)), *(f"cube-{m}" for m in range(1, 4)),
+            *(f"rotated-pm-simplex-{m}" for m in range(2, 5)),
+            *(f"rotated-cube-{m}" for m in range(2, 4))])
+    def test_symmetric_sets_with_tied_radii(self, pts):
+        _assert_matches_reference(pts)
+
 
 class TestGccCondition:
     def test_reference_family(self):
@@ -161,10 +254,12 @@ class TestGccCondition:
         col_min = float(np.linalg.norm(a, axis=0).min())
         assert gcc >= (col_min / np.linalg.norm(a, 2)) * grassmann
 
-    def test_right_angle_cap_is_infinite(self):
-        a = np.array([[1.0, -1.0], [1.0, 1.0]])  # antipodal after normalizing? no: orthogonal pair
-        # columns (1,1)/sqrt2 and (-1,1)/sqrt2 are orthogonal: radius pi/4.
+    def test_orthogonal_pair_gives_sqrt2(self):
+        # Columns (1,1)/sqrt2 and (-1,1)/sqrt2 are orthogonal: radius pi/4.
+        a = np.array([[1.0, -1.0], [1.0, 1.0]])
         assert gcc_condition(a).value == pytest.approx(SQ2, abs=1e-9)
+
+    def test_right_angle_cap_is_infinite(self):
         b = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
         # columns e1, -e1, e2: the smallest cap has radius exactly pi/2
         assert gcc_condition(b).value == math.inf
