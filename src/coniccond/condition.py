@@ -25,7 +25,7 @@ from .cones import (Cone, ConeAngleResult, Feasibility, FeasibilityStatus, _stre
 from .errors import (DimensionError, NotBalanced, NotDualFeasible, NotPrimalFeasible,
                      XInComplement, ZeroVector)
 from .grassmann import Subspace, angle_point_subspace, subspace_from_rowspan
-from .linalg import is_balanced, is_rank_deficient, kappa, require_matrix
+from .linalg import is_balanced, is_rank_deficient, kappa_of_singular_values, require_matrix
 from .tolerances import COMPLEMENT_BAND, INCLUSION_AGREEMENT, ZERO_DISTANCE
 
 # Angular spacing, in radians, of the deterministic direction grid of inclusion_radius_check.
@@ -139,8 +139,8 @@ class Analysis:
 
     The classification, both conditions and the flip witness derive from
     these two results.  The dual-route minimum of ||A p|| over unit p in
-    the dual cone and kappa(A) are computed on first use, at most once,
-    and need ``a``.
+    the dual cone and the singular values of ``a``, which give ||A|| and
+    kappa(A), are computed on first use, at most once, and need ``a``.
     """
 
     cone: Cone
@@ -170,9 +170,14 @@ class Analysis:
         return self.a
 
     @functools.cached_property
+    def singular_values(self) -> np.ndarray:
+        """The nonincreasing singular values of ``a``: one SVD for ||A|| and kappa(A)."""
+        return np.linalg.svd(self._matrix(), compute_uv=False)
+
+    @property
     def kappa(self) -> float:
         """kappa(A) of ``a``."""
-        return kappa(self._matrix())
+        return kappa_of_singular_values(self.singular_values)
 
     def dual_minimum(self) -> tuple[float, np.ndarray, str]:
         """min ||A p|| over unit p in the dual cone as (value, p, method), solved once.
@@ -190,7 +195,7 @@ class Analysis:
             return ConditionValue.exact(value.value, f"balanced:{value.basis_of_claim}")
         status = self.status
         if status.tag is Feasibility.DUAL_STRICT:
-            return _dual_route(float(np.linalg.norm(self.a, 2)), self.dual_minimum(), "")
+            return _dual_route(float(self.singular_values[0]), self.dual_minimum(), "")
         if status.tag is Feasibility.PRIMAL_STRICT:
             grassmann = self.grassmann.value
             return ConditionValue.interval(grassmann, self.kappa * grassmann, "sandwich")
@@ -206,24 +211,21 @@ class Analysis:
         return _witness(delta, "flips_to_primal", p, np.linalg.norm((self.a + delta) @ p))
 
 
-def analyze(cone: Cone, w: Subspace | None, seed: int = 0, a=None,
-            exact_angles: bool = True) -> Analysis:
+def analyze(cone: Cone, w: Subspace | None, seed: int = 0, a=None) -> Analysis:
     """Solve the primal and the dual cone-subspace angle of W, once each.
 
     W is ``w``, or the row span of ``a`` when ``w`` is None; passing both
     raises ValueError.  The Renegar condition and the flip witness need
-    ``a``.
-    With ``exact_angles=False`` the angle of a side that touches the cone
-    may only be certified to be at most ANGLE_THRESHOLD (see
-    primal_dual_angles); the classification, the Grassmann and Renegar
-    conditions and the flip witness do not change.
+    ``a``.  A side that touches the cone is exactly 0 wherever Gordan's
+    alternative shows it from the strict side's witness, and is solved
+    otherwise (see primal_dual_angles).
     """
     if w is not None and a is not None:
         raise ValueError("give w or a, not both: with a, W is its row span")
     arr = None if a is None else require_matrix(a)
     if w is None:
         w = subspace_from_rowspan(arr)
-    primal, dual = primal_dual_angles(cone, w, seed=seed, exact_angles=exact_angles)
+    primal, dual = primal_dual_angles(cone, w, seed=seed)
     return Analysis(cone=cone, w=w, seed=seed, a=arr, primal=primal, dual=dual)
 
 

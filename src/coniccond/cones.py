@@ -26,8 +26,9 @@ the intersection of a cone with the unit sphere:
   best converged values is reported as an uncertainty gap.
 
 primal_dual_angles solves the strict side first where the realizable
-table shows it; with exact_angles=False the other side is then only
-certified to lie within ANGLE_THRESHOLD (_certify_touches).
+table shows it.  When that side is exact, Gordan's alternative can show
+from its witness that the other subspace meets the interior of the other
+cone (_gordan_zero); that angle is then exactly 0 and is not solved.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .errors import (
 from .grassmann import Subspace, complement
 from .tolerances import (ANGLE_THRESHOLD, ASCENT_MAX_STEPS, ASCENT_MIN_GAIN, ASCENT_MIN_NORM,
                          ASCENT_MIN_STEP, GENERAL_POSITION_TOL, GORDAN_MARGIN, MEMBERSHIP_TOL,
-                         PRODUCT_WEIGHT_FLOOR, SIGNABLE_TOL, TIE_TOL)
+                         PRODUCT_WEIGHT_FLOOR, SIGNABLE_TOL, SMALL_ANGLE, TIE_TOL)
 
 # Orthant enumeration is exact but exponential; beyond this many
 # coordinates the multistart path takes over.
@@ -664,17 +665,14 @@ def extremize_quadratic_over_cone(
 class ConeAngleResult:
     """The minimal angle between nonzero cone points and a subspace.
 
-    method is "exact" (support enumeration), "multistart" (gap: spread of
-    the best converged cosines) or "certificate".  A certificate only
-    shows that the angle is at most ANGLE_THRESHOLD: angle is that of the
-    witness, an upper bound on the minimal angle, and the gap
-    1 - cos(angle) bounds how far cos(angle) may lie below the true
-    cosine.
+    method is "exact" (support enumeration, or the exact zero that
+    Gordan's alternative gives a touching side; gap 0) or "multistart"
+    (gap: spread of the best converged cosines).
     """
 
     angle: float
     witness: np.ndarray          # unit vector in the cone attaining the angle
-    method: str                  # "exact" | "multistart" | "certificate"
+    method: str                  # "exact" | "multistart"
     certified_gap: float         # bound on underestimation of cos(angle)
 
 
@@ -684,8 +682,13 @@ def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0, *,
 
     Zero when the subspace meets the cone nontrivially.  The returned
     gap is 0 for the exact path and the spread of the best converged
-    cosines for the multistart path.  ``_table`` is the realizable table
-    of this angle, or None, when primal_dual_angles has built it already.
+    cosines for the multistart path.  A strict exact angle below
+    SMALL_ANGLE is read as arcsin ||x - P_W x|| at its witness x, where
+    arccos of the eigenvalue errs by about eps / angle.  A witness tied
+    within TIE_TOL of the maximum may have a sin^2 up to TIE_TOL larger,
+    so a touching angle keeps the eigenvalue's value.
+    ``_table`` is the realizable table of this angle, or None, when
+    primal_dual_angles has built it already.
     """
     if cone.dim != w.ambient_dim:
         raise DimensionError(f"cone dimension {cone.dim} != ambient {w.ambient_dim}")
@@ -694,6 +697,8 @@ def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0, *,
     angle = _angle_of_cos2(ext.value)
     if ext.method == "exact":
         gap = 0.0
+        if ANGLE_THRESHOLD < angle < SMALL_ANGLE:
+            angle = float(np.arcsin(np.linalg.norm(ext.point - w.project(ext.point))))
     else:
         cosines = np.sqrt(np.clip(ext.converged_values, 0.0, 1.0))
         k = min(8, cosines.size)
@@ -701,42 +706,45 @@ def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0, *,
     return ConeAngleResult(angle=angle, witness=ext.point, method=ext.method, certified_gap=gap)
 
 
-def _certify_touches(cone: Cone, solved: Subspace, other: Subspace,
-                     y: np.ndarray) -> ConeAngleResult | None:
-    """angle(cone, other) <= ANGLE_THRESHOLD shown from the solved side's witness, or None.
+def _gordan_zero(cone: Cone, solved_w: Subspace, solved: ConeAngleResult) -> ConeAngleResult | None:
+    """The exact zero angle of the side opposite a strict exact one, or None.
 
-    y maximizes ||P x|| (P the projector onto ``solved``) over unit x in
-    K = dual of ``cone`` (C** = C, so this serves either side), at
-    cos^2 = lam < 1.  By the KKT conditions P y - lam y lies in ``cone``,
-    and since ``cone`` is -K (Cone.dual) so does -(1 - lam) y; their sum
-    P y - y lies in ``other`` = complement of ``solved`` as well.  Its
-    projection onto ``cone`` is the certificate, accepted only when its
-    angle to ``other`` is checked to be at most the threshold.
+    ``solved`` is the exact angle of the other side: its witness y
+    maximizes ||P y|| (P the projector onto ``solved_w``) over unit y in
+    the dual of ``cone``, at cos^2 = lam < 1.  For any y, v = P y - y lies
+    in the complement of ``solved_w``, the subspace of this side.  By the
+    KKT conditions d * v = (1 - lam) |y| + mu with mu >= 0, d the sign
+    vector of ``cone`` (Cone.orthant_signs), so v lies in ``cone``.  When
+    min(d * v) / ||v|| > GORDAN_MARGIN, v lies in its interior (see
+    GORDAN_MARGIN): this side's subspace meets it, and its angle is
+    exactly 0 with witness v / ||v||.  None when ``solved`` is not
+    strict or not exact, ``cone`` has no sign vector, or v fails the
+    margin.
     """
-    v = cone.project(solved.project(y) - y)
+    signs = cone.orthant_signs
+    if solved.method != "exact" or solved.angle <= ANGLE_THRESHOLD or signs is None:
+        return None
+    v = solved_w.project(solved.witness) - solved.witness
     norm = float(np.linalg.norm(v))
-    if norm == 0.0:
+    if not float((signs * v).min()) / norm > GORDAN_MARGIN:
         return None
-    v = v / norm
-    angle = _angle_of_cos2(float(v @ other.projector() @ v))
-    if angle > ANGLE_THRESHOLD:
-        return None
-    return ConeAngleResult(angle=angle, witness=v, method="certificate",
-                           certified_gap=float(1.0 - np.cos(angle)))
+    return ConeAngleResult(angle=0.0, witness=v / norm, method="exact", certified_gap=0.0)
 
 
-def primal_dual_angles(cone: Cone, w: Subspace, seed: int = 0,
-                       exact_angles: bool = True) -> tuple[ConeAngleResult, ConeAngleResult]:
+def primal_dual_angles(cone: Cone, w: Subspace,
+                       seed: int = 0) -> tuple[ConeAngleResult, ConeAngleResult]:
     """angle(C, W) and angle(dual C, W_perp), solved once each.
 
     Every feasibility and condition quantity of W derives from this pair.
     The side with the smaller subspace (W on a tie) is solved first,
     unless its realizable table (_route_table) marks the full support:
-    that side touches, so the other one goes first.  The order changes
-    no angle.  With ``exact_angles=False``, when the first angle is exact
-    and above ANGLE_THRESHOLD, the second is only a "certificate" that it
-    is at most the threshold (_certify_touches), or exact if that fails.
-    Multistart results are never certified.
+    that side touches, so the other one goes first.  When a solved side
+    is exact and strict, the other side is exactly 0 wherever Gordan's
+    alternative shows it from that side's witness (_gordan_zero); it is
+    solved only when that test fails.  A touching side solved first is
+    replaced by that zero when the strict side, solved second, proves it,
+    so no angle depends on the order.  Multistart results and ill-posed
+    instances solve both sides.
     """
     sides = sorted([(cone, w), (dual_cone(cone), complement(w))], key=lambda side: side[1].dim)
     tables = [_route_table(sides[0][0], sides[0][1].basis), _BUILD]
@@ -745,11 +753,11 @@ def primal_dual_angles(cone: Cone, w: Subspace, seed: int = 0,
         tables.reverse()
     (first_cone, first_w), (second_cone, second_w) = sides
     first = cone_subspace_angle(first_cone, first_w, seed=seed, _table=tables[0])
-    second = None
-    if not exact_angles and first.method == "exact" and first.angle > ANGLE_THRESHOLD:
-        second = _certify_touches(second_cone, first_w, second_w, first.witness)
+    second = _gordan_zero(second_cone, first_w, first)
     if second is None:
         second = cone_subspace_angle(second_cone, second_w, seed=seed, _table=tables[1])
+        if first.angle <= ANGLE_THRESHOLD:
+            first = _gordan_zero(first_cone, second_w, second) or first
     return (first, second) if first_w is w else (second, first)
 
 

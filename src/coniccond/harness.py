@@ -248,7 +248,7 @@ def _run_trial(cfg: ExperimentConfig, cone: Cone, index: int) -> TrialRecord:
     a = gaussian_matrix(trial_stream(cfg.seed, index), cfg.m, cfg.n)
     try:
         # A record reads the tag and the strict angle only.
-        analysis = analyze(cone, None, seed=cfg.seed + index, a=a, exact_angles=False)
+        analysis = analyze(cone, None, seed=cfg.seed + index, a=a)
         status = analysis.status
         g = analysis.grassmann.value
         ren = analysis.renegar()

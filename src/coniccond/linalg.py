@@ -83,7 +83,11 @@ def kappa(a) -> float:
     m, n = arr.shape
     if m > n:
         raise DimensionError(f"kappa requires m <= n, got shape {arr.shape}")
-    s = np.linalg.svd(arr, compute_uv=False)
+    return kappa_of_singular_values(np.linalg.svd(arr, compute_uv=False))
+
+
+def kappa_of_singular_values(s: np.ndarray) -> float:
+    """sigma_1 / sigma_m of the nonincreasing singular values s, inf when rank deficient."""
     if is_rank_deficient(s):
         return float("inf")
     return float(s[0] / s[-1])

@@ -30,6 +30,13 @@ TIE_TOL = 1e-12
 # Cauchy-Schwarz.  The factor of 15 between the two covers the rounding of w: passing needs
 # q_i / R(A) > this (minimum, witness q) or sin(angle) x_i > this (maximum), so the bound
 # exceeds 1e-12 ||K||, far above the n eps ||K|| error of w.
+# The same margin makes a touching side's angle exactly 0: v = P y - y, y the strict side's
+# unit witness and P its projector, lies in the touching side's subspace for any y, and
+# passes when every signed entry of v exceeds this times ||v||.  A strict side has ||v|| =
+# sin(angle) > ANGLE_THRESHOLD, so passing needs entries above 1e-13, while v errs by about
+# (n + r) eps + ||B B^T - I|| <= 1e-14 (r <= n <= 16, B the orthonormal basis of P, whose
+# defect is a few eps for the bases polar_decompose and complement build): the exact P y - y
+# then lies in the cone's interior, and Gordan's alternative needs nothing more.
 GORDAN_MARGIN = 1e-6
 # Relative cofactor rays or off-ray entries of B^T rho this small void general position.
 GENERAL_POSITION_TOL = 1e-6

@@ -73,12 +73,16 @@ class TestSolveCounts:
         assert len(solves) == 2
 
     def test_primal_strict_report_with_witness(self, solves):
+        # The primal angle; the dual side is the exact zero its witness proves.
         report = condition_report(Orthant(4), PRIMAL_STRICT, include_witnesses=True)
         assert report["status"] == "primal_strict" and report["witnesses"]
-        assert len(solves) == 2
+        assert report["angles"]["dual"] == 0.0
+        assert len(solves) == 1
 
     def test_dual_strict_report_with_witness(self, solves):
-        # The Renegar dual route and the flip witness share one minimum.
+        # n = 4 takes no realizable table, so the touching primal side, solved
+        # first, is solved in full before the dual one proves it 0.  The
+        # Renegar dual route and the flip witness share one minimum.
         report = condition_report(Orthant(4), DUAL_STRICT, include_witnesses=True)
         assert report["status"] == "dual_strict"
         assert report["renegar"]["basis"] == "dual-route-exact"
@@ -87,8 +91,8 @@ class TestSolveCounts:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_one_trial_solves_at_most_three(self, solves, no_threads, seed):
-        # Primal strict: the primal angle, the dual side certified from its
-        # witness.  Dual strict: both angles and the dual-route minimum.
+        # Primal strict: the primal angle, the dual side the exact zero its
+        # witness proves.  Dual strict: both angles and the dual-route minimum.
         # Ill posed: both angles.  n = 6 takes no realizable table, so a
         # touching side solved first is solved in full.
         (record,) = run_experiment(ExperimentConfig(n=6, m=3, trials=1, seed=seed))
@@ -98,12 +102,22 @@ class TestSolveCounts:
     @pytest.mark.parametrize("seed", [0, 1, 2, 8, 12])
     def test_trial_above_half_dimension_solves_dual_first(self, solves, no_threads, seed):
         # m > n/2, so the dual angle comes first.  Dual strict (seeds 0-2):
-        # the dual angle, the primal side certified from its witness, then
+        # the dual angle, the primal side the exact zero its witness proves, then
         # the dual-route minimum.  Primal strict (seeds 8, 12): the dual
         # angle, solved in full, then the primal angle.
         (record,) = run_experiment(ExperimentConfig(n=6, m=4, trials=1, seed=seed))
         assert record.status == ("primal_strict" if seed in (8, 12) else "dual_strict")
         assert len(solves) == 2
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 6), (3, 8), (5, 10), (9, 10)])
+    def test_one_svd_gives_norm_and_kappa(self, shape):
+        # ||A|| and kappa(A) read the singular values of one SVD, with the
+        # bits of np.linalg.norm(A, 2) and kappa(A).
+        for seed in range(5):
+            a = gaussian_matrix(trial_stream(seed, 0), *shape)
+            analysis = analyze(Orthant(shape[1]), None, a=a)
+            assert analysis.singular_values[0] == np.linalg.norm(a, 2)
+            assert analysis.kappa == kappa(a)
 
     def test_dual_minimum_is_solved_once(self, solves):
         analysis = analyze(Orthant(4), None, a=DUAL_STRICT)

@@ -1,27 +1,28 @@
-"""Certified classification: exact strict angles, certified touching ones."""
+"""Exact classification: strict angles by enumeration, touching ones exactly 0 by Gordan."""
 
 import inspect
-import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 import coniccond.cones
 from coniccond import (
-    InconsistentClassification,
     Lorentz,
     Orthant,
     analyze,
     angle_point_subspace,
-    classify_feasibility,
     complement,
+    condition_report,
+    cone_subspace_angle,
     dual_cone,
     subspace_from_rowspan,
 )
-from coniccond.cones import ANGLE_THRESHOLD, _enumerate_orthant_extremum, primal_dual_angles
+from coniccond.cones import (ANGLE_THRESHOLD, GORDAN_MARGIN, _angle_of_cos2,
+                             _enumerate_orthant_extremum, primal_dual_angles)
 from conftest import orthant_like
 
 
@@ -55,38 +56,57 @@ def _same(result, other):
             and np.array_equal(result.witness, other.witness))
 
 
+def _kkt_vector(solved_w, solved):
+    """v = P y - y of a solved side's witness y, P the projector onto its subspace."""
+    return solved_w.project(solved.witness) - solved.witness
+
+
+def _full_enumeration_angle(cone, w):
+    """The angle from every support, with no realizable table and no cap."""
+    signs = cone.orthant_signs
+    value, _ = _enumerate_orthant_extremum(signs[:, None] * w.projector() * signs, True)
+    return _angle_of_cos2(value)
+
+
+def _interior_point(cone, w):
+    """A point of W in the cone's interior found by scipy's linprog, or None.
+
+    Maximizes t subject to d * (B^T z) >= t and |z|_inf <= 1, d the cone's
+    sign vector and B the basis of W.
+    """
+    signs, basis = cone.orthant_signs, w.basis
+    k, n = basis.shape
+    res = linprog(np.r_[np.zeros(k), -1.0], A_ub=np.c_[-(signs[:, None] * basis.T), np.ones(n)],
+                  b_ub=np.zeros(n), bounds=[(-1.0, 1.0)] * k + [(None, 1.0)], method="highs")
+    assert res.status == 0, res.message
+    point = basis.T @ res.x[:k]
+    return point if float((signs * point).min()) > 0.0 else None
+
+
 class TestCertifiedAngles:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(instances())
     def test_certified_pair_matches_exact_pair(self, instance):
+        # Every side either equals its own exact solve bit for bit, or is the
+        # zero that the strict side's KKT vector proves; the full enumeration
+        # and linprog both confirm that such a side touches, so the
+        # classification is that of the two solves.
         cone, w = instance
-        try:
-            tag = classify_feasibility(cone, w).tag
-        except InconsistentClassification:
-            with pytest.raises(InconsistentClassification):
-                analyze(cone, w, exact_angles=False).status
-            return
-        exact = primal_dual_angles(cone, w)
-        certified = primal_dual_angles(cone, w, exact_angles=False)
-        assert analyze(cone, w, exact_angles=False).status.tag is tag
-        for side, full, cert, side_cone in zip(("primal", "dual"), exact, certified,
-                                               (cone, dual_cone(cone))):
-            if full.angle > ANGLE_THRESHOLD:
-                # The strict side is the full enumeration, bit for bit.
-                assert cert.method == "exact", side
-                assert cert.angle == full.angle, side
-                assert np.array_equal(cert.witness, full.witness), side
-            elif cert.method == "exact":
-                # Solved in full: no table showed it touching, or the certificate failed.
-                assert cert.angle == full.angle <= ANGLE_THRESHOLD, side
-                assert np.array_equal(cert.witness, full.witness), side
-            else:
-                assert cert.method == "certificate", side
-                assert cert.angle <= ANGLE_THRESHOLD, side
-                gap = 1.0 - math.cos(cert.angle)
-                assert cert.certified_gap == pytest.approx(gap, rel=1e-9), side
-                assert np.array_equal(side_cone.project(cert.witness), cert.witness), side
-                assert np.linalg.norm(cert.witness) == pytest.approx(1.0, abs=1e-12), side
+        sides = ((cone, w), (dual_cone(cone), complement(w)))
+        pair = primal_dual_angles(cone, w)
+        solved = [cone_subspace_angle(side_cone, side_w) for side_cone, side_w in sides]
+        for i, (side_cone, side_w) in enumerate(sides):
+            result, other = pair[i], pair[1 - i]
+            if _same(result, solved[i]):
+                continue
+            assert result.method == "exact" and result.angle == 0.0
+            assert result.certified_gap == 0.0
+            assert other.method == "exact" and other.angle > ANGLE_THRESHOLD
+            v = _kkt_vector(sides[1 - i][1], other)
+            assert np.array_equal(result.witness, v / np.linalg.norm(v))
+            assert float((side_cone.orthant_signs * v).min()) / np.linalg.norm(v) > GORDAN_MARGIN
+            assert _full_enumeration_angle(side_cone, side_w) <= ANGLE_THRESHOLD
+            assert _interior_point(side_cone, side_w) is not None
 
 
 class TestCertificatePaths:
@@ -95,67 +115,94 @@ class TestCertificatePaths:
         # comes from the KKT point, not from a second enumeration.
         w = subspace_from_rowspan(np.array([[1.0, -2.0, 0.5, 0.0, 1.0, -1.0],
                                             [0.0, 1.0, -1.5, -0.4, 0.3, 0.2]]))
-        primal, dual = primal_dual_angles(Orthant(6), w, exact_angles=False)
+        primal, dual = primal_dual_angles(Orthant(6), w)
         assert primal.method == "exact" and primal.angle > ANGLE_THRESHOLD
-        assert dual.method == "certificate" and dual.angle <= ANGLE_THRESHOLD
-        y = primal.witness
-        expected = np.minimum(w.project(y) - y, 0.0)
-        assert np.allclose(dual.witness, expected / np.linalg.norm(expected), atol=1e-15)
+        assert dual.method == "exact" and dual.angle == 0.0 and dual.certified_gap == 0.0
+        v = _kkt_vector(w, primal)
+        assert np.array_equal(dual.witness, v / np.linalg.norm(v))
+        assert np.all(dual.witness < 0.0)
         assert angle_point_subspace(dual.witness, complement(w)) <= ANGLE_THRESHOLD
-
-    def test_failed_certificate_solves_dual(self, monkeypatch):
-        monkeypatch.setattr(coniccond.cones, "_certify_touches", lambda *args: None)
-        w = subspace_from_rowspan(np.array([[1.0, -2.0, 0.5, 0.0], [0.0, 1.0, -1.5, -0.4]]))
-        primal, dual = primal_dual_angles(Orthant(4), w, exact_angles=False)
-        assert primal.method == "exact" and primal.angle > ANGLE_THRESHOLD
-        # The dual side is solved exactly instead.
-        assert dual.method == "exact" and dual.angle <= ANGLE_THRESHOLD
-        assert _same(dual, primal_dual_angles(Orthant(4), w)[1])
+        assert _interior_point(dual_cone(Orthant(6)), complement(w)) is not None
 
     def test_dual_strict_certifies_primal_from_witness(self):
         # dim W_perp = 2 < dim W = 4: the dual side is solved first and the
         # primal side comes from its KKT point.
         w = subspace_from_rowspan(np.random.default_rng(0).standard_normal((4, 6)))
         perp = complement(w)
-        primal, dual = primal_dual_angles(Orthant(6), w, exact_angles=False)
+        primal, dual = primal_dual_angles(Orthant(6), w)
         assert dual.method == "exact" and dual.angle > ANGLE_THRESHOLD
-        assert primal.method == "certificate" and primal.angle <= ANGLE_THRESHOLD
-        y = dual.witness
-        expected = np.maximum(perp.project(y) - y, 0.0)
-        assert np.allclose(primal.witness, expected / np.linalg.norm(expected), atol=1e-15)
+        assert _same(dual, cone_subspace_angle(dual_cone(Orthant(6)), perp))
+        assert primal.method == "exact" and primal.angle == 0.0
+        v = _kkt_vector(perp, dual)
+        assert np.array_equal(primal.witness, v / np.linalg.norm(v))
+        assert np.all(primal.witness > 0.0)
         assert angle_point_subspace(primal.witness, w) <= ANGLE_THRESHOLD
-        exact = primal_dual_angles(Orthant(6), w)
-        assert dual.angle == exact[1].angle and np.array_equal(dual.witness, exact[1].witness)
+
+    @pytest.mark.parametrize("last, accepted", [(-5e-9, False), (-5e-7, True)])
+    def test_margin_decides_between_the_zero_and_the_solve(self, last, accepted):
+        # W = span(u) misses the orthant at angle 0.0102; its witness is u's
+        # positive part, and v = P y - y has entries -c u_i off that support.
+        # With u_5 = -5e-9 the smallest, -v_5 / ||v||, is 5.0e-7, positive but
+        # below GORDAN_MARGIN: the dual side is solved, bit for bit as alone.
+        # With u_5 = -5e-7 it is 5.0e-5 and the zero is accepted.
+        u = np.array([0.6, 0.5, 0.6, -1e-2, last])
+        w = subspace_from_rowspan((u / np.linalg.norm(u))[None])
+        cone = Orthant(5)
+        primal, dual = primal_dual_angles(cone, w)
+        assert primal.method == "exact" and primal.angle > ANGLE_THRESHOLD
+        v = _kkt_vector(w, primal)
+        margin = float((-v).min() / np.linalg.norm(v))
+        assert 0.0 < margin and (margin > GORDAN_MARGIN) is accepted
+        solved = cone_subspace_angle(dual_cone(cone), complement(w))
+        zero = np.array_equal(dual.witness, v / np.linalg.norm(v))
+        assert zero is accepted and _same(dual, solved) is not accepted
+        assert dual.method == "exact" and dual.angle <= ANGLE_THRESHOLD
+
+    def test_failed_certificate_solves_dual(self, monkeypatch):
+        monkeypatch.setattr(coniccond.cones, "_gordan_zero", lambda *args: None)
+        w = subspace_from_rowspan(np.array([[1.0, -2.0, 0.5, 0.0], [0.0, 1.0, -1.5, -0.4]]))
+        primal, dual = primal_dual_angles(Orthant(4), w)
+        assert primal.method == "exact" and primal.angle > ANGLE_THRESHOLD
+        assert _same(primal, cone_subspace_angle(Orthant(4), w))
+        assert _same(dual, cone_subspace_angle(dual_cone(Orthant(4)), complement(w)))
+        assert dual.angle <= ANGLE_THRESHOLD
 
     def test_failed_primal_certificate_solves_primal(self, monkeypatch):
-        monkeypatch.setattr(coniccond.cones, "_certify_touches", lambda *args: None)
+        monkeypatch.setattr(coniccond.cones, "_gordan_zero", lambda *args: None)
         w = subspace_from_rowspan(np.random.default_rng(0).standard_normal((4, 6)))
-        primal, dual = primal_dual_angles(Orthant(6), w, exact_angles=False)
+        primal, dual = primal_dual_angles(Orthant(6), w)
         assert dual.method == "exact" and dual.angle > ANGLE_THRESHOLD
         # The primal side is solved exactly instead.
-        assert primal.method == "exact" and primal.angle <= ANGLE_THRESHOLD
-        assert _same(primal, primal_dual_angles(Orthant(6), w)[0])
+        assert _same(primal, cone_subspace_angle(Orthant(6), w))
+        assert primal.angle <= ANGLE_THRESHOLD
 
-    def test_dual_strict_stops_primal(self):
-        # n = 4 takes no realizable table, so nothing shows that the primal side,
-        # solved first (dim W = dim W_perp), touches: it is solved in full, and
-        # the dual side after it.
-        w = subspace_from_rowspan(np.array([[1.0, 2.0, 0.5, 1.5], [0.3, -1.0, 1.2, 0.4]]))
-        primal, dual = primal_dual_angles(Orthant(4), w, exact_angles=False)
-        assert primal.method == "exact" and primal.angle <= ANGLE_THRESHOLD
-        assert dual.method == "exact" and dual.angle > ANGLE_THRESHOLD
-        exact = primal_dual_angles(Orthant(4), w)
-        assert _same(primal, exact[0]) and _same(dual, exact[1])
+    def test_touching_side_solved_first_prints_zero(self):
+        # n = 4 takes no realizable table, so the primal side, solved first
+        # (dim W = dim W_perp), is solved in full and touches at a rounding
+        # 1.05e-8.  The strict dual side's KKT vector then proves it 0.
+        a = np.array([[1.0, 2.0, 0.5, 1.5], [0.3, -1.0, 1.2, 0.4]])
+        w = subspace_from_rowspan(a)
+        solved = cone_subspace_angle(Orthant(4), w)
+        assert 0.0 < solved.angle <= ANGLE_THRESHOLD
+        primal, dual = primal_dual_angles(Orthant(4), w)
+        assert _same(dual, cone_subspace_angle(dual_cone(Orthant(4)), complement(w)))
+        assert dual.angle > ANGLE_THRESHOLD
+        assert primal.method == "exact" and primal.angle == 0.0
+        v = _kkt_vector(complement(w), dual)
+        assert np.array_equal(primal.witness, v / np.linalg.norm(v))
+        assert condition_report(Orthant(4), a)["angles"]["primal"] == 0.0
 
     def test_multistart_is_never_certified(self):
         w = subspace_from_rowspan(np.array([[1.0, 0.0, 0.0, 0.0]]))
-        for exact_angles in (True, False):
-            pair = primal_dual_angles(Lorentz(4), w, seed=2, exact_angles=exact_angles)
-            assert [r.method for r in pair] == ["multistart", "multistart"]
+        pair = primal_dual_angles(Lorentz(4), w, seed=2)
+        assert [r.method for r in pair] == ["multistart", "multistart"]
 
-    def test_exact_angles_default_keeps_both_exact(self):
+    def test_the_angle_switch_is_gone(self):
         w = subspace_from_rowspan(np.array([[1.0, 2.0, 0.5, 1.5], [0.3, -1.0, 1.2, 0.4]]))
-        assert [r.method for r in primal_dual_angles(Orthant(4), w)] == ["exact", "exact"]
+        with pytest.raises(TypeError):
+            analyze(Orthant(4), w, exact_angles=False)
+        with pytest.raises(TypeError):
+            primal_dual_angles(Orthant(4), w, exact_angles=False)
 
 
 @st.composite
@@ -173,11 +220,12 @@ class TestSideOrder:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(gaussian_instances())
     def test_touching_table_side_is_never_enumerated(self, instance):
-        # Trials solve the strict side and certify the other one; every number
-        # equals that of the exact pair, and a side whose realizable table marks
-        # the full support (its subspace meets the cone's interior) is not solved.
+        # The strict side equals its own exact solve bit for bit, and a side
+        # whose realizable table marks the full support (its subspace meets
+        # the cone's interior) is not solved.
         cone, a = instance
-        exact = analyze(cone, None, a=a)
+        w = subspace_from_rowspan(a)
+        sides = {"primal": (cone, w), "dual": (dual_cone(cone), complement(w))}
         original = _enumerate_orthant_extremum
         signature = inspect.signature(original)
         tables = []
@@ -187,11 +235,10 @@ class TestSideOrder:
             return original(*args, **kwargs)
 
         with mock.patch.object(coniccond.cones, "_enumerate_orthant_extremum", spy):
-            trial = analyze(cone, None, a=a, exact_angles=False)
+            analysis = analyze(cone, None, a=a)
         assert tables
         assert not any(table is not None and table[-1] for table in tables)
-        assert trial.status.tag is exact.status.tag
-        strict = "primal" if exact.status.primal_angle > ANGLE_THRESHOLD else "dual"
-        assert _same(getattr(trial, strict), getattr(exact, strict))
-        assert trial.grassmann == exact.grassmann
-        assert trial.renegar() == exact.renegar()
+        for name, (side_cone, side_w) in sides.items():
+            result = getattr(analysis, name)
+            if result.angle > ANGLE_THRESHOLD:
+                assert _same(result, cone_subspace_angle(side_cone, side_w)), name

@@ -20,13 +20,14 @@ from coniccond import (
     cone_subspace_angle,
     dual_cone,
     extremize_quadratic_over_cone,
+    grassmann_condition,
     grassmann_distances,
     FeasibilityStatus,
     InconsistentClassification,
     parse_cone,
     subspace_from_rowspan,
 )
-from coniccond.cones import primal_dual_angles
+from coniccond.cones import _angle_of_cos2, primal_dual_angles
 from conftest import random_matrix, span, stream
 
 SQ2 = math.sqrt(2.0)
@@ -163,6 +164,28 @@ class TestConeSubspaceAngle:
         assert res.angle == pytest.approx(math.pi / 4, abs=1e-12)
         np.testing.assert_allclose(res.witness, [1.0, 0.0, 0.0], atol=1e-12)
         assert res.method == "exact" and res.certified_gap == 0.0
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-5, 1e-6, 2e-7])
+    def test_small_strict_angle_is_read_from_the_witness(self, t):
+        # W = span(cos t, -sin t) misses Orthant(2) at angle t, witness e_1.
+        # Below SMALL_ANGLE the angle is arcsin ||e_1 - P e_1|| = t, where the
+        # eigenvalue cos^2 t gave C(W) sin t - 1 = 1.4e-9, 4.1e-8 and 4.4e-5
+        # at t = 1e-4, 1e-5 and 1e-6.
+        w = span([math.cos(t), -math.sin(t)])
+        res = cone_subspace_angle(Orthant(2), w)
+        sine = np.linalg.norm(res.witness - w.project(res.witness))
+        assert res.method == "exact" and res.angle == float(np.arcsin(sine))
+        assert abs(grassmann_condition(Orthant(2), w).value * math.sin(t) - 1.0) <= 1e-12
+
+    def test_strict_angle_above_small_angle_keeps_the_eigenvalue(self):
+        # At t = 1e-3 > SMALL_ANGLE the angle is arccos of the eigenvalue's
+        # square root, within eps / t^2 of t relative.
+        t = 1e-3
+        w = span([math.cos(t), -math.sin(t)])
+        res = cone_subspace_angle(Orthant(2), w)
+        lam = float(res.witness @ w.projector() @ res.witness)
+        assert res.angle == _angle_of_cos2(lam)
+        assert abs(res.angle / t - 1.0) <= 16 * np.finfo(float).eps / t**2
 
     def test_interior_meeting_line(self):
         res = cone_subspace_angle(Orthant(2), span([1, 1]))
