@@ -47,7 +47,7 @@ from .errors import (
     InconsistentClassification,
     NumericalFailure,
 )
-from .grassmann import Subspace, complement
+from .grassmann import Subspace, angle_point_subspace, complement
 from .tolerances import (ANGLE_THRESHOLD, ASCENT_MAX_STEPS, ASCENT_MIN_GAIN, ASCENT_MIN_NORM,
                          ASCENT_MIN_STEP, GENERAL_POSITION_TOL, GORDAN_MARGIN, MEMBERSHIP_TOL,
                          PRODUCT_WEIGHT_FLOOR, SIGNABLE_TOL, SMALL_ANGLE, TIE_TOL)
@@ -375,9 +375,10 @@ class QuadraticExtremum:
     """Extremum of x^T M x over (cone intersect unit sphere)."""
 
     value: float
-    point: np.ndarray
+    point: np.ndarray           # witness; for exact, a tie within TIE_TOL of value
     method: str                 # "exact" | "multistart"
     converged_values: np.ndarray  # best first; single entry for exact
+    peak: np.ndarray            # a point whose own value is value
 
 
 def _angle_of_cos2(lam: float) -> float:
@@ -441,9 +442,11 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
 
     The extremizer restricted to its support F is an eigenvector of
     M[F, F]; a candidate is accepted when that eigenvector can be signed
-    nonnegative.  Ties are broken by lexicographically smallest support.
+    nonnegative.  Returns (value, witness, peak) as _best_candidate does:
+    the witness breaks ties within TIE_TOL by lexicographically smallest
+    support, and the peak attains the value.
     Sizes are visited from n down to 1; neither the value nor the
-    tie-break depends on that order.
+    tie-breaks depend on that order.
 
     With ``realizable`` (a table from _realizable_supports, for a maximum
     only) only the supports it marks are solved, each as in the full
@@ -532,7 +535,11 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
 
 
 def _best_candidate(accepted, maximize, n):
-    """(extremum, witness) over accepted (values, supports, vectors), or None if there are none."""
+    """(extremum, witness, peak) over accepted (values, supports, vectors), or None if none.
+
+    The witness is the lexicographically smallest support within TIE_TOL
+    of the extremum; the peak is the smallest whose value is the extremum.
+    """
     accepted = [c for c in accepted if c[0].size]
     if not accepted:
         return None
@@ -543,16 +550,22 @@ def _best_candidate(accepted, maximize, n):
     values = np.concatenate([lams for lams, _, _ in accepted])
     best_val = float(values.max() if maximize else values.min())
     # Supports come in lexicographic order, so each size's first tie is
-    # its smallest; the witness is the smallest of those.
-    tied = []
+    # its smallest; the witness is the smallest of those within TIE_TOL,
+    # and the peak the smallest of those whose own value is the extremum.
+    tied, peaks = [], []
     for lams, supports, vecs in accepted:
-        first = np.flatnonzero(np.abs(lams - best_val) <= TIE_TOL)[:1]
-        tied.extend((tuple(supports[i].tolist()), vecs[i]) for i in first)
-    best_support, best_vec = min(tied, key=lambda c: c[0])
+        for ties, mask in ((tied, np.abs(lams - best_val) <= TIE_TOL), (peaks, lams == best_val)):
+            ties.extend((tuple(supports[i].tolist()), vecs[i]) for i in np.flatnonzero(mask)[:1])
+    witness, peak = (_unit_point(*min(ties, key=lambda c: c[0]), n) for ties in (tied, peaks))
+    return best_val, witness, peak
+
+
+def _unit_point(support, vec, n):
+    """The unit vector of R^n with the clipped entries vec on support."""
     point = np.zeros(n)
-    point[list(best_support)] = np.maximum(best_vec, 0.0)
+    point[list(support)] = np.maximum(vec, 0.0)
     point /= np.linalg.norm(point)
-    return best_val, point
+    return point
 
 
 def _projected_extremize(m_mat, cone, x0, maximize):
@@ -653,12 +666,12 @@ def extremize_quadratic_over_cone(
             cap = cone.dim - len(_factor) if maximize else len(_factor)
             if maximize:
                 table = _route_table(cone, _factor) if _table is _BUILD else _table
-        val, y = _enumerate_orthant_extremum(conj, maximize, table, cap)
-        return QuadraticExtremum(
-            value=val, point=signs * y, method="exact", converged_values=np.array([val])
-        )
+        val, y, peak = _enumerate_orthant_extremum(conj, maximize, table, cap)
+        return QuadraticExtremum(value=val, point=signs * y, method="exact",
+                                 converged_values=np.array([val]), peak=signs * peak)
     val, x, values = _multistart_extremum(m_mat, cone, maximize, seed, multistart_count)
-    return QuadraticExtremum(value=val, point=x, method="multistart", converged_values=values)
+    return QuadraticExtremum(value=val, point=x, method="multistart", converged_values=values,
+                             peak=x)
 
 
 @dataclass(frozen=True)
@@ -683,10 +696,11 @@ def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0, *,
     Zero when the subspace meets the cone nontrivially.  The returned
     gap is 0 for the exact path and the spread of the best converged
     cosines for the multistart path.  A strict exact angle below
-    SMALL_ANGLE is read as arcsin ||x - P_W x|| at its witness x, where
-    arccos of the eigenvalue errs by about eps / angle.  A witness tied
-    within TIE_TOL of the maximum may have a sin^2 up to TIE_TOL larger,
-    so a touching angle keeps the eigenvalue's value.
+    SMALL_ANGLE is read from the sine ||x - P_W x|| of the peak x, the
+    candidate whose own eigenvalue is the maximum, where arccos of the
+    eigenvalue errs by about eps / angle.  The witness is only tied
+    within TIE_TOL of the maximum, so its sin^2 may be up to TIE_TOL
+    larger: neither this angle nor a touching one is read from it.
     ``_table`` is the realizable table of this angle, or None, when
     primal_dual_angles has built it already.
     """
@@ -698,7 +712,7 @@ def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0, *,
     if ext.method == "exact":
         gap = 0.0
         if ANGLE_THRESHOLD < angle < SMALL_ANGLE:
-            angle = float(np.arcsin(np.linalg.norm(ext.point - w.project(ext.point))))
+            angle = angle_point_subspace(ext.peak, w)
     else:
         cosines = np.sqrt(np.clip(ext.converged_values, 0.0, 1.0))
         k = min(8, cosines.size)

@@ -64,7 +64,7 @@ def _kkt_vector(solved_w, solved):
 def _full_enumeration_angle(cone, w):
     """The angle from every support, with no realizable table and no cap."""
     signs = cone.orthant_signs
-    value, _ = _enumerate_orthant_extremum(signs[:, None] * w.projector() * signs, True)
+    value, _, _ = _enumerate_orthant_extremum(signs[:, None] * w.projector() * signs, True)
     return _angle_of_cos2(value)
 
 

@@ -28,6 +28,7 @@ from coniccond import (
     subspace_from_rowspan,
 )
 from coniccond.cones import _angle_of_cos2, primal_dual_angles
+from coniccond.grassmann import angle_point_subspace
 from conftest import random_matrix, span, stream
 
 SQ2 = math.sqrt(2.0)
@@ -166,16 +167,30 @@ class TestConeSubspaceAngle:
         assert res.method == "exact" and res.certified_gap == 0.0
 
     @pytest.mark.parametrize("t", [1e-4, 1e-5, 1e-6, 2e-7])
-    def test_small_strict_angle_is_read_from_the_witness(self, t):
-        # W = span(cos t, -sin t) misses Orthant(2) at angle t, witness e_1.
-        # Below SMALL_ANGLE the angle is arcsin ||e_1 - P e_1|| = t, where the
-        # eigenvalue cos^2 t gave C(W) sin t - 1 = 1.4e-9, 4.1e-8 and 4.4e-5
-        # at t = 1e-4, 1e-5 and 1e-6.
+    def test_small_strict_angle_is_read_from_the_peak(self, t):
+        # W = span(cos t, -sin t) misses Orthant(2) at angle t, witness and
+        # peak e_1.  Below SMALL_ANGLE the angle is read from the sine
+        # ||e_1 - P e_1|| = sin t, where the eigenvalue cos^2 t gave
+        # C(W) sin t - 1 = 1.4e-9, 4.1e-8 and 4.4e-5 at t = 1e-4, 1e-5 and 1e-6.
         w = span([math.cos(t), -math.sin(t)])
         res = cone_subspace_angle(Orthant(2), w)
-        sine = np.linalg.norm(res.witness - w.project(res.witness))
-        assert res.method == "exact" and res.angle == float(np.arcsin(sine))
+        assert res.method == "exact" and res.angle == angle_point_subspace(res.witness, w)
         assert abs(grassmann_condition(Orthant(2), w).value * math.sin(t) - 1.0) <= 1e-12
+
+    def test_small_strict_angle_skips_a_tied_witness(self):
+        # W = nu-perp, nu = (1.2e-6, 1e-6, 1), misses Orthant(3).  Only e_1,
+        # e_2 and e_3 are accepted; cos^2 = 1 - 1.44e-12 at e_1 and 1 - 1e-12
+        # at e_2 tie within TIE_TOL, so the witness is e_1 while the peak
+        # e_2 attains the angle arcsin(1e-6 / ||nu||).  Read at the witness,
+        # the angle would be 1.2e-6, 20% off.
+        nu = np.array([1.2e-6, 1e-6, 1.0])
+        w = complement(span(nu))
+        res = cone_subspace_angle(Orthant(3), w)
+        sine = 1e-6 / np.linalg.norm(nu)
+        assert res.method == "exact" and np.array_equal(res.witness, [1.0, 0.0, 0.0])
+        assert abs(angle_point_subspace(res.witness, w) / math.asin(sine) - 1.2) <= 1e-6
+        assert abs(res.angle / math.asin(sine) - 1.0) <= 1e-12
+        assert abs(grassmann_condition(Orthant(3), w).value * sine - 1.0) <= 1e-12
 
     def test_strict_angle_above_small_angle_keeps_the_eigenvalue(self):
         # At t = 1e-3 > SMALL_ANGLE the angle is arccos of the eigenvalue's

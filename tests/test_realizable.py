@@ -78,12 +78,13 @@ class TestRealizableRoute:
         # Every r, not only those the route rule sends to the table.
         table = _realizable_supports(basis * signs)
         if table is not None:
-            value, point = _enumerate_orthant_extremum(conj, True, table)
+            value, point, peak = _enumerate_orthant_extremum(conj, True, table)
             assert value == full[0]
-            assert np.array_equal(point, full[1])
+            assert np.array_equal(point, full[1]) and np.array_equal(peak, full[2])
         ext = extremize_quadratic_over_cone(basis.T @ basis, cone, True, _factor=basis)
         assert ext.value == full[0]
         assert np.array_equal(ext.point, signs * full[1])
+        assert np.array_equal(ext.peak, signs * full[2])
 
     def test_angle_matches_the_unfiltered_solve(self):
         # cone_subspace_angle passes the basis; the projector alone gives
@@ -285,7 +286,7 @@ class TestStrictCap:
         basis = _row_basis(a)
         projector = basis.T @ basis
         assert _realizable_supports(basis) is None
-        _, capped = _enumerate_orthant_extremum(projector, True, _sizes_at_most(n, n - r))
+        _, capped, _ = _enumerate_orthant_extremum(projector, True, _sizes_at_most(n, n - r))
         assert (capped - projector @ capped).min() <= GORDAN_MARGIN
         solved = _solved_by_size(monkeypatch, projector, Orthant(n), True, _factor=basis)
         assert solved == {size: math.comb(n, size) for size in range(1, n + 1)}
@@ -304,7 +305,7 @@ class TestStrictCap:
         u = np.array([0.6, 0.5, 0.6, -1e-2, -5e-9])
         basis = (u / np.linalg.norm(u))[None, :]
         projector = basis.T @ basis
-        _, capped = _enumerate_orthant_extremum(projector, True, _sizes_at_most(5, 4))
+        _, capped, _ = _enumerate_orthant_extremum(projector, True, _sizes_at_most(5, 4))
         w = capped - projector @ capped
         assert 0.0 < w.min() < GORDAN_MARGIN * math.sqrt(capped @ w)
         solved = _solved_by_size(monkeypatch, projector, Orthant(5), True, _factor=basis)
