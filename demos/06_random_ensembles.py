@@ -31,7 +31,7 @@ print("sandwich failures:", sum(1 for r in records if not r.sandwich_ok))
 
 log_kappa = np.array([math.log(r.kappa) for r in records])
 log_grassmann = np.array([math.log(r.grassmann) for r in records])
-log_renegar = np.array([math.log(r.renegar_upper) for r in records])
+log_renegar = np.array([math.log(r.renegar.bounds()[1]) for r in records])
 print(f"mean log kappa     = {log_kappa.mean():.4f}")
 print(f"mean log grassmann = {log_grassmann.mean():.4f}")
 print(f"mean log renegar   = {log_renegar.mean():.4f} "

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,10 +137,11 @@ def _dual_route(spectral: float, minimum: tuple, prefix: str) -> ConditionValue:
 class Analysis:
     """One instance solved once: primal = angle(C, W), dual = angle(dual C, W_perp).
 
-    The classification, both conditions and the flip witness derive from
-    these two results.  The dual-route minimum of ||A p|| over unit p in
-    the dual cone and the singular values of ``a``, which give ||A|| and
-    kappa(A), are computed on first use, at most once, and need ``a``.
+    The classification, both conditions and both witnesses derive from
+    these two results.  Every derived value is computed on first use, at
+    most once; the dual-route minimum of ||A p|| over unit p in the dual
+    cone and the singular values of ``a``, which give ||A|| and kappa(A),
+    need ``a``.
     """
 
     cone: Cone
@@ -149,13 +150,12 @@ class Analysis:
     a: np.ndarray | None
     primal: ConeAngleResult
     dual: ConeAngleResult
-    _dual_minimum: tuple | None = field(default=None, repr=False)
 
-    @property
+    @functools.cached_property
     def status(self) -> FeasibilityStatus:
         return FeasibilityStatus.from_angles(self.primal.angle, self.dual.angle)
 
-    @property
+    @functools.cached_property
     def grassmann(self) -> ConditionValue:
         status = self.status
         if status.tag is Feasibility.PRIMAL_STRICT:
@@ -179,14 +179,13 @@ class Analysis:
         """kappa(A) of ``a``."""
         return kappa_of_singular_values(self.singular_values)
 
+    @functools.cached_property
     def dual_minimum(self) -> tuple[float, np.ndarray, str]:
-        """min ||A p|| over unit p in the dual cone as (value, p, method), solved once.
+        """min ||A p|| over unit p in the dual cone as (value, p, method).
 
         See _min_image_over_dual.
         """
-        if self._dual_minimum is None:
-            self._dual_minimum = _min_image_over_dual(self.cone, self._matrix(), self.seed)
-        return self._dual_minimum
+        return _min_image_over_dual(self.cone, self._matrix(), self.seed)
 
     def renegar(self) -> ConditionValue:
         """Renegar condition of the full-rank matrix ``a``; see renegar_condition."""
@@ -195,7 +194,7 @@ class Analysis:
             return ConditionValue.exact(value.value, f"balanced:{value.basis_of_claim}")
         status = self.status
         if status.tag is Feasibility.DUAL_STRICT:
-            return _dual_route(float(self.singular_values[0]), self.dual_minimum(), "")
+            return _dual_route(float(self.singular_values[0]), self.dual_minimum, "")
         if status.tag is Feasibility.PRIMAL_STRICT:
             grassmann = self.grassmann.value
             return ConditionValue.interval(grassmann, self.kappa * grassmann, "sandwich")
@@ -203,12 +202,21 @@ class Analysis:
 
     def flip_witness(self) -> PerturbationWitness:
         """The perturbation of witness_flip_dual_to_primal for ``a``."""
-        status = self.status
-        if status.tag is not Feasibility.DUAL_STRICT:
-            raise NotDualFeasible(f"instance classified as {status.tag.value}")
-        _, p, _ = self.dual_minimum()
+        if self.status.tag is not Feasibility.DUAL_STRICT:
+            raise NotDualFeasible(f"instance classified as {self.status.tag.value}")
+        _, p, _ = self.dual_minimum
         delta = -np.outer(self.a @ p, p)
         return _witness(delta, "flips_to_primal", p, np.linalg.norm((self.a + delta) @ p))
+
+    def image_witness(self) -> PerturbationWitness:
+        """The perturbation of witness_image pulling the primal witness into W.
+
+        It acts on the orthonormal basis of W, which for W the row span of
+        ``a`` is the balanced part of the polar decomposition of ``a``.
+        """
+        if self.status.tag is not Feasibility.PRIMAL_STRICT:
+            raise NotPrimalFeasible(f"instance classified as {self.status.tag.value}")
+        return witness_image(self.w.basis, self.primal.witness)
 
 
 def analyze(cone: Cone, w: Subspace | None, seed: int = 0, a=None) -> Analysis:

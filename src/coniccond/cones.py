@@ -241,10 +241,6 @@ class Product(Cone):
             self.orthant_signs.flags.writeable = False
 
     @property
-    def factors(self) -> tuple[Cone, ...]:
-        return self._factors
-
-    @property
     def dim(self) -> int:
         return int(self._offsets[-1])
 
@@ -291,10 +287,6 @@ class Negated(Cone):
         if inner.orthant_signs is not None:
             self.orthant_signs = -inner.orthant_signs
             self.orthant_signs.flags.writeable = False
-
-    @property
-    def inner(self) -> Cone:
-        return self._inner
 
     @property
     def dim(self) -> int:

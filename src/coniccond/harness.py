@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .condition import analyze, iteration_bound_estimate, json_number, witness_image
+from .condition import ConditionValue, analyze, iteration_bound_estimate, json_number
 from .cones import (Cone, Feasibility, Orthant, _angle_of_cos2, _stream, classify_feasibility,
                     cone_subspace_angle, dual_cone, parse_cone)
 from .errors import DimensionError, InconsistentClassification, NumericalFailure, RankDeficient
@@ -127,7 +128,9 @@ def oracle_perturbation_bracket(cone: Cone, a, budget: int = 2000, seed: int = 0
         analysis = analyze(cone, None, seed=seed, a=arr)
         tag0 = analysis.status.tag
     except RankDeficient:
-        tag0 = "degenerate"
+        # Rank deficiency is dual feasibility, as in renegar_condition, and
+        # leaves no row span whose witness could guide the search.
+        analysis, tag0 = None, Feasibility.DUAL_STRICT
     spectral = float(np.linalg.norm(arr, 2))
     best = math.inf
 
@@ -153,15 +156,15 @@ def oracle_perturbation_bracket(cone: Cone, a, budget: int = 2000, seed: int = 0
 
     # Witness-guided candidates realize the exact distance when available.
     guided = []
-    if tag0 is Feasibility.DUAL_STRICT:
+    if analysis is not None and tag0 is Feasibility.DUAL_STRICT:
         guided.append(analysis.flip_witness().delta)
     elif tag0 is Feasibility.PRIMAL_STRICT:
-        factors = polar_decompose(arr)
-        balanced_delta = witness_image(factors.balanced_part, analysis.primal.witness).delta
-        guided.append(factors.scale @ balanced_delta)
+        scale = polar_decompose(arr).scale
+        balanced_delta = analysis.image_witness().delta
+        guided.append(scale @ balanced_delta)
         # Overshoot slightly so the perturbed span crosses the boundary
         # instead of landing exactly on it.
-        guided.append(factors.scale @ (balanced_delta * (1.0 + BRACKET_OVERSHOOT)))
+        guided.append(scale @ (balanced_delta * (1.0 + BRACKET_OVERSHOOT)))
     for delta in guided:
         if flips(delta):
             best = min(best, float(np.linalg.norm(delta, 2)))
@@ -210,21 +213,16 @@ class TrialRecord:
     status: str
     grassmann: float = math.nan
     kappa: float = math.nan
-    renegar_kind: str = ""
-    renegar_lower: float = math.nan
-    renegar_upper: float = math.nan
+    renegar: ConditionValue | None = None
     sandwich_ok: bool = False
     error: str = ""
 
     def to_json(self) -> dict:
+        """The trial's JSON line; the Renegar entry leaves out the report's "basis"."""
         if self.status == "error":
             return {"trial_index": self.trial_index, "status": "error", "error": self.error}
-        renegar: dict = {"kind": self.renegar_kind}
-        if self.renegar_kind == "exact":
-            renegar["value"] = json_number(self.renegar_lower)
-        else:
-            renegar["lower"] = json_number(self.renegar_lower)
-            renegar["upper"] = json_number(self.renegar_upper)
+        renegar = self.renegar.to_json()
+        del renegar["basis"]
         return {
             "trial_index": self.trial_index,
             "status": self.status,
@@ -255,16 +253,13 @@ def _run_trial(cfg: ExperimentConfig, cone: Cone, index: int) -> TrialRecord:
     except (NumericalFailure, InconsistentClassification) as exc:
         return TrialRecord(trial_index=index, status="error", error=f"{type(exc).__name__}: {exc}")
     kap = analysis.kappa
-    lower, upper = ren.bounds()
     return TrialRecord(
         trial_index=index,
         status=status.tag.value,
         grassmann=g,
         kappa=kap,
-        renegar_kind=ren.kind,
-        renegar_lower=lower,
-        renegar_upper=upper,
-        sandwich_ok=_sandwich_ok(g, kap, lower, upper),
+        renegar=ren,
+        sandwich_ok=_sandwich_ok(g, kap, *ren.bounds()),
     )
 
 
@@ -291,16 +286,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrialRecord]:
     cone = cfg.cone()
     if cone.dim != cfg.n:
         raise DimensionError(f"cone dimension {cone.dim} != n={cfg.n}")
-    workers = _worker_count()
-    indices = range(cfg.trials)
-    if workers == 1:
-        records = [_run_trial(cfg, cone, i) for i in indices]
-    else:
-        from concurrent.futures import ThreadPoolExecutor  # only thread pools need it
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # map yields the results in input order, so records stay in trial order.
-            records = list(pool.map(lambda i: _run_trial(cfg, cone, i), indices))
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        # map yields the results in input order, so records stay in trial order.
+        records = list(pool.map(lambda i: _run_trial(cfg, cone, i), range(cfg.trials)))
     if cfg.output_path:
         with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as handle:
             for record in records:
@@ -351,8 +339,6 @@ def condition_report(cone: Cone, a, seed: int = 0, include_witnesses: bool = Fal
         if status.tag is Feasibility.DUAL_STRICT:
             witnesses.append(_witness_entry(analysis.flip_witness(), "input"))
         elif status.tag is Feasibility.PRIMAL_STRICT:
-            # The row span's basis is the balanced part of the polar decomposition.
-            witness = witness_image(analysis.w.basis, analysis.primal.witness)
-            witnesses.append(_witness_entry(witness, "balanced_representative"))
+            witnesses.append(_witness_entry(analysis.image_witness(), "balanced_representative"))
         report["witnesses"] = witnesses
     return report

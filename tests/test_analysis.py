@@ -11,7 +11,9 @@ import coniccond
 from coniccond import (
     ExperimentConfig,
     Feasibility,
+    FeasibilityStatus,
     NotDualFeasible,
+    NotPrimalFeasible,
     Orthant,
     analyze,
     classify_feasibility,
@@ -41,6 +43,8 @@ GOLDEN_EXPERIMENT_N12 = tuple(dict(n=12, m=m, trials=12, seed=0) for m in (6, 9)
 
 DUAL_STRICT = np.array([[1.0, 2.0, 0.5, 1.5], [0.3, -1.0, 1.2, 0.4]])
 PRIMAL_STRICT = np.array([[1.0, -2.0, 0.5, 0.0], [0.0, 1.0, -1.5, -0.4]])
+# W = span(e1 - e2, e3) touches the orthant, and so does W_perp = span(e1 + e2, e4).
+ILL_POSED = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]])
 
 
 @pytest.fixture
@@ -119,10 +123,24 @@ class TestSolveCounts:
             assert analysis.singular_values[0] == np.linalg.norm(a, 2)
             assert analysis.kappa == kappa(a)
 
+    @pytest.mark.parametrize("a", [PRIMAL_STRICT, DUAL_STRICT], ids=["primal", "dual"])
+    def test_report_classifies_once(self, monkeypatch, a):
+        # The status, both conditions and the witness read one classification.
+        original, calls = FeasibilityStatus.from_angles, []
+
+        def counted(primal_angle, dual_angle):
+            calls.append(1)
+            return original(primal_angle, dual_angle)
+
+        monkeypatch.setattr(FeasibilityStatus, "from_angles", staticmethod(counted))
+        report = condition_report(Orthant(4), a, include_witnesses=True)
+        assert report["witnesses"]
+        assert len(calls) == 1
+
     def test_dual_minimum_is_solved_once(self, solves):
         analysis = analyze(Orthant(4), None, a=DUAL_STRICT)
-        first = analysis.dual_minimum()
-        assert analysis.dual_minimum() is first
+        first = analysis.dual_minimum
+        assert analysis.dual_minimum is first
         analysis.renegar()
         analysis.flip_witness()
         assert len(solves) == 3
@@ -190,6 +208,23 @@ class TestViewsAgree:
         else:
             assert report["witnesses"] == []
 
+    @pytest.mark.parametrize("a", [PRIMAL_STRICT, polar_decompose(PRIMAL_STRICT).balanced_part],
+                             ids=["input", "balanced"])
+    def test_image_witness_is_witness_image_bit_for_bit(self, a):
+        analysis = analyze(Orthant(4), None, a=a)
+        got = analysis.image_witness()
+        expected = witness_image(analysis.w.basis, analysis.primal.witness)
+        assert np.array_equal(got.delta, expected.delta)
+        assert np.array_equal(got.vector, expected.vector)
+        assert (got.frob_norm, got.residual, got.normalization, got.property_forced) == (
+            expected.frob_norm, expected.residual, expected.normalization,
+            expected.property_forced)
+
+    @pytest.mark.parametrize("a", [DUAL_STRICT, ILL_POSED], ids=["dual", "ill_posed"])
+    def test_image_witness_needs_primal_strict(self, a):
+        with pytest.raises(NotPrimalFeasible):
+            analyze(Orthant(4), None, a=a).image_witness()
+
     def test_flip_witness_needs_dual_strict(self):
         with pytest.raises(NotDualFeasible):
             analyze(Orthant(4), None, a=PRIMAL_STRICT).flip_witness()
@@ -204,6 +239,27 @@ class TestViewsAgree:
         # W would not be checked to be the row span of A.
         with pytest.raises(ValueError):
             analyze(Orthant(4), subspace_from_rowspan(PRIMAL_STRICT), a=DUAL_STRICT)
+
+
+class TestTrialRenegar:
+    """A trial line's Renegar entry is the report's ConditionValue.to_json() less "basis"."""
+
+    @pytest.mark.parametrize("a, basis", [
+        (DUAL_STRICT, "dual-route-exact"),
+        (PRIMAL_STRICT, "sandwich"),
+        (polar_decompose(PRIMAL_STRICT).balanced_part, "balanced:primal-angle"),
+        (ILL_POSED, "ill-posed"),
+    ], ids=["dual_route", "interval", "balanced", "ill_posed"])
+    def test_trial_line_encodes_the_condition_value(self, monkeypatch, no_threads, a, basis):
+        # The trial runs on a, in place of its Gaussian draw.
+        monkeypatch.setattr(coniccond.harness, "gaussian_matrix", lambda rng, m, n: a)
+        (record,) = run_experiment(ExperimentConfig(n=4, m=2, trials=1, seed=0))
+        ren = renegar_condition(Orthant(4), a, seed=0)
+        assert ren.basis_of_claim == basis
+        assert record.renegar == ren
+        expected = ren.to_json()
+        del expected["basis"]
+        assert record.to_json()["renegar"] == expected
 
 
 class TestErrorTrials:
@@ -230,8 +286,7 @@ class TestErrorTrials:
             assert record.grassmann == grassmann_condition(
                 cone, subspace_from_rowspan(a), seed=index).value
             assert record.kappa == kappa(a)
-            assert (record.renegar_kind, (record.renegar_lower, record.renegar_upper)) == (
-                ren.kind, ren.bounds())
+            assert record.renegar == ren
 
     def test_cli_writes_records_and_exits_two(self, capsys, tmp_path, no_threads):
         out = tmp_path / "f.jsonl"

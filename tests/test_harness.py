@@ -19,6 +19,7 @@ from coniccond import (
     oracle_perturbation_bracket,
     random_subspace,
     read_matrix,
+    renegar_condition,
     run_experiment,
     subspace_from_rowspan,
     trial_stream,
@@ -106,6 +107,16 @@ class TestPerturbationBracket:
         upper = oracle_perturbation_bracket(Orthant(2), np.array([[2.0, 0.0]]), budget=1500, seed=6)
         assert upper <= 1e-4
 
+    @pytest.mark.parametrize("a", [[[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]],
+                                   [[1.0, -1.0, 0.0], [2.0, -2.0, 0.0]]],
+                             ids=["dual_feasible", "ill_posed"])
+    def test_rank_deficient_stays_an_upper_bound(self, a):
+        # A rank-deficient A is dual feasible: only a full-rank probe that
+        # leaves strict dual feasibility counts as a flip.
+        a = np.array(a)
+        upper = oracle_perturbation_bracket(Orthant(3), a, budget=1000)
+        assert np.linalg.norm(a, 2) / upper <= renegar_condition(Orthant(3), a).value
+
     def test_primal_balanced_brackets_condition(self):
         rng = stream(82)
         found = 0
@@ -151,7 +162,7 @@ class TestExperiment:
         assert record.status in {"primal_strict", "dual_strict"}
         assert record.grassmann >= 1.0
         assert record.kappa >= 1.0
-        assert record.renegar_kind in {"exact", "interval"}
+        assert record.renegar.kind in {"exact", "interval"}
 
     def test_thread_count_does_not_change_output(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -175,9 +186,9 @@ class TestExperiment:
     def test_log_sandwich_at_scale(self):
         records = run_experiment(ExperimentConfig(n=6, m=3, trials=1000, seed=11))
         for record in records:
-            upper = record.renegar_upper
-            assert math.log(record.renegar_lower) <= math.log(record.grassmann) + math.log(record.kappa) + 1e-9 \
-                or record.renegar_kind == "interval"
+            lower, upper = record.renegar.bounds()
+            assert math.log(lower) <= math.log(record.grassmann) + math.log(record.kappa) + 1e-9 \
+                or record.renegar.kind == "interval"
             assert math.log(upper) <= math.log(record.kappa) + math.log(record.grassmann) + 1e-9
             assert math.log(record.grassmann) <= math.log(upper) + 1e-9
 
