@@ -21,6 +21,11 @@ the intersection of a cone with the unit sphere:
   enumeration does;
 * a minimum skips the supports that Cauchy interlacing shows cannot
   win or tie;
+* within that cap, where K_F is positive definite, a batch of supports
+  first takes a sign certificate (_sign_rejections): one batched
+  inverse and a few steps of inverse iteration prove that most
+  supports' eigenvectors have entries of both signs, so eigh, which
+  would reject them, solves only the rest;
 * for everything else (Lorentz cones and products involving them) a
   multistart projected-gradient search is used and the spread of the
   best converged values is reported as an uncertainty gap.
@@ -50,7 +55,8 @@ from .errors import (
 from .grassmann import Subspace, angle_point_subspace, complement
 from .tolerances import (ANGLE_THRESHOLD, ASCENT_MAX_STEPS, ASCENT_MIN_GAIN, ASCENT_MIN_NORM,
                          ASCENT_MIN_STEP, GENERAL_POSITION_TOL, GORDAN_MARGIN, MEMBERSHIP_TOL,
-                         PRODUCT_WEIGHT_FLOOR, SIGNABLE_TOL, SMALL_ANGLE, TIE_TOL)
+                         PRODUCT_WEIGHT_FLOOR, SIGN_CERT_COND_LIMIT, SIGN_CERT_ROUNDING,
+                         SIGNABLE_TOL, SMALL_ANGLE, TIE_TOL)
 
 # Orthant enumeration is exact but exponential; beyond this many
 # coordinates the multistart path takes over.
@@ -63,6 +69,21 @@ EXACT_ENUM_LIMIT = 16
 # (7, 3) and 1.3 against 1.1 ms at (8, 4).
 REALIZABLE_MIN_DIM = 7
 MULTISTART_COUNT = 64
+# The sign certificate's inverse iteration takes 2^this steps, by squaring the
+# inverse (_sign_rejections).  Over seed 1 orthant-ensemble chunks 0-59, eigh
+# solves 339 340 matrices unscreened; 73 781 remain after four steps, 46 654
+# after eight and 39 308 after sixteen.  Eight and sixteen took 1.77 and 1.74 s
+# against 2.10 s for four and 2.53 s unscreened (medians of 4 runs, 2 cores,
+# numpy 2.4.6), so more steps buy nothing.
+SIGN_CERT_SQUARINGS = 3
+# The sign certificate screens only batches of at least this many supports; a
+# smaller batch goes to eigh whole.  The certificate costs about 70 us per batch
+# plus a batched inverse, a quarter of eigh's time per matrix.  Timing each batch
+# of seed 1 orthant-ensemble chunks 0-29 and orthant-report ops 0-179 both ways
+# (best of 7, 2 cores, numpy 2.4.6), batches of 48-63 supports lost 18 us each
+# to the screen and batches of 128-191 gained 172 us; the summed time was flat
+# from 48 to 96 and least at 64, 437 against 791 ms unscreened.
+SIGN_CERT_MIN_BATCH = 64
 
 
 def _stream(seed: int, index: int) -> np.random.Generator:
@@ -468,6 +489,18 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
     the final best by more than TIE_TOL: it could neither win nor tie,
     and the result keeps its bits.  A minimum refuses a table, whose
     holes that cascade would spread.
+
+    Within the cap (with ``cap`` = k, the sizes of at most k
+    coordinates), where K_F = M_F for a minimum and I - M_F for a maximum
+    is positive definite unless singular, a batch of at least
+    SIGN_CERT_MIN_BATCH supports first takes the sign certificate of
+    _sign_rejections.  A support it rejects is one whose extreme
+    eigenvector eigh would find unsignable, so eigh solves only the
+    others, and accepted candidates still come from eigh alone with the
+    same bits.  For a rejected support the cascade reads the
+    certificate's lower bound on lambda_min in place of eigh's value; it
+    is never larger, so the cascade can only skip fewer supports, and the
+    result keeps its bits.
     """
     if realizable is not None and not maximize:
         raise ValueError("a realizable table serves only a maximum")
@@ -497,18 +530,29 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
             if not len(combos):
                 continue
             subs = sym[combos[:, :, None], combos[:, None, :]]
-            eigvals, eigvecs = np.linalg.eigh(subs)
-            col = size - 1 if maximize else 0
-            vecs = eigvecs[:, :, col]
-            lead = np.argmax(np.abs(vecs), axis=1)
-            lead_sign = vecs[np.arange(len(combos)), lead]
-            vecs = vecs * np.where(lead_sign < 0.0, -1.0, 1.0)[:, None]
-            accepted = vecs.min(axis=1) >= -SIGNABLE_TOL
-            lams = eigvals[accepted, col]
-            accepted_by_size[size] = (lams, combos[accepted], vecs[accepted])
+            # lambda_min of K = M_F for a minimum, or a lower bound on it.
+            lows = np.empty(len(combos))
+            solved = np.ones(len(combos), dtype=bool)
+            if cap is not None and size <= cap and len(combos) >= SIGN_CERT_MIN_BATCH:
+                rejected, bound = _sign_rejections(subs, maximize)
+                solved = ~rejected
+                lows[rejected] = bound[rejected]
+                combos, subs = combos[solved], subs[solved]
+            lams = np.empty(0)
+            if len(combos):
+                eigvals, eigvecs = np.linalg.eigh(subs)
+                lows[solved] = eigvals[:, 0]
+                col = size - 1 if maximize else 0
+                vecs = eigvecs[:, :, col]
+                lead = np.argmax(np.abs(vecs), axis=1)
+                lead_sign = vecs[np.arange(len(combos)), lead]
+                vecs = vecs * np.where(lead_sign < 0.0, -1.0, 1.0)[:, None]
+                accepted = vecs.min(axis=1) >= -SIGNABLE_TOL
+                lams = eigvals[accepted, col]
+                accepted_by_size[size] = (lams, combos[accepted], vecs[accepted])
             if not maximize:
                 best = min(best, float(lams.min(initial=np.inf)))
-                skipped[masks[eigvals[:, 0] > best + margin]] = True
+                skipped[masks[lows > best + margin]] = True
 
     def certified(x):
         """Whether w = K x' exceeds GORDAN_MARGIN (||K|| x'^T K x')^(1/2) in every entry."""
@@ -524,6 +568,65 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
         solve(range(n, first, -1))
         result = _best_candidate(accepted_by_size.values(), maximize, n)
     return result
+
+
+def _sign_rejections(subs, maximize):
+    """(rejected, lower) over a batch of principal submatrices M_F, as eigh would see them.
+
+    K_F = M_F for a minimum and I - M_F for a maximum, positive definite
+    within the Gordan cap unless singular; eigh reads the lambda_min
+    eigenvector of K_F off M_F either way.  rejected marks each support
+    whose eigenvector provably has an entry below -SIGNABLE_TOL and one
+    above SIGNABLE_TOL, with a margin for eigh's own rounding, so eigh
+    would reject it too.  lower bounds lambda_min(K_F) from below
+    wherever rejected is set.
+
+    2^SIGN_CERT_SQUARINGS steps of inverse iteration from the ones vector
+    give a unit x, its Rayleigh quotient theta >= lambda_1 and the
+    residual r = K x - theta x.  Since sum_i lambda_i^-2 = ||K^-1||_F^2
+    and theta^-2 <= lambda_1^-2, lambda_2 >= tau = (||K^-1||_F^2 -
+    theta^-2)^(-1/2).  With tau > theta the Davis-Kahan sin theta
+    theorem gives sin angle(x, u) <= ||r|| / (tau - theta) for the
+    lambda_1 eigenvector u, so ||u - x|| <= sqrt(2) times that for the
+    sign of u nearer x, and the Kato-Temple inequality gives lambda_1 >=
+    theta - ||r||^2 / (tau - theta).  SIGN_CERT_ROUNDING covers the
+    rounding: it inflates ||K^-1||_F^2 by itself times the condition
+    number, and ||r||, the gap and eigh's eigenvector error by itself
+    times nu, a bound on the norms of K_F and M_F.  Only K_F with
+    ||K_F||_F ||K_F^-1||_F <= SIGN_CERT_COND_LIMIT are trusted, and a
+    batch holding an exactly singular K_F rejects nothing.
+    """
+    k_mats = np.eye(subs.shape[-1]) - subs if maximize else subs
+    try:
+        inverse = np.linalg.inv(k_mats)
+    except np.linalg.LinAlgError:
+        return np.zeros(len(k_mats), dtype=bool), np.zeros(len(k_mats))
+    with np.errstate(all="ignore"):
+        inverse_f2 = np.einsum("bij,bij->b", inverse, inverse)
+        k_norm = np.sqrt(np.einsum("bij,bij->b", k_mats, k_mats))
+        # K^-(2^s) 1 by s squarings of the scaled inverse, in two buffers.
+        power, spare = inverse, np.empty_like(inverse)
+        power /= np.sqrt(inverse_f2)[:, None, None]
+        for _ in range(SIGN_CERT_SQUARINGS):
+            power, spare = np.matmul(power, power, out=spare), power
+        x = power @ np.ones(k_mats.shape[-1])
+        x /= np.sqrt(np.einsum("bi,bi->b", x, x))[:, None]
+        kx = np.einsum("bij,bj->bi", k_mats, x)
+        theta = np.einsum("bi,bi->b", x, kx)
+        r = kx - theta[:, None] * x
+        residual = np.sqrt(np.einsum("bi,bi->b", r, r))
+        condition = k_norm * np.sqrt(inverse_f2)
+        # SIGN_CERT_ROUNDING times nu; a maximum's M_F = P_F has ||P_F|| <= 1.
+        round_off = SIGN_CERT_ROUNDING * (np.maximum(k_norm, 1.0) if maximize else k_norm)
+        rest = inverse_f2 * (1.0 + SIGN_CERT_ROUNDING * condition) - theta ** -2.0
+        gap = rest ** -0.5 - theta - round_off
+        # One round_off for the rounding of r, one for eigh's eigenvector error times the gap.
+        residual += 2.0 * round_off
+        slack = SIGNABLE_TOL + np.sqrt(2.0) * residual / gap
+        rejected = ((condition <= SIGN_CERT_COND_LIMIT) & (theta > 0.0) & (rest > 0.0)
+                    & (gap > 0.0) & (x.min(axis=1) < -slack) & (x.max(axis=1) > slack))
+        lower = theta - residual ** 2 / gap - round_off
+    return rejected, lower
 
 
 def _best_candidate(accepted, maximize, n):

@@ -5,9 +5,10 @@ so every "touches the cone", "rank deficient" and "tie" decision in the
 package is a floating-point band.  This module is the only place such a
 band is set, and it imports nothing.  Each line below says what the value
 decides; two decisions that happen to share a value keep separate names.
-The size limit of exact enumeration and the multistart start count are
-effort limits, not tolerances, and stay in cones.py; the multistart step
-limit is here because it decides whether a run counts as converged.
+The size limit of exact enumeration, the multistart start count and the
+sign certificate's step count and batch floor are effort limits, not
+tolerances, and stay in cones.py; the multistart step limit is here
+because it decides whether a run counts as converged.
 """
 
 # --- Cones and their angles (cones.py) ---
@@ -38,6 +39,20 @@ TIE_TOL = 1e-12
 # defect is a few eps for the bases polar_decompose and complement build): the exact P y - y
 # then lies in the cone's interior, and Gordan's alternative needs nothing more.
 GORDAN_MARGIN = 1e-6
+# The sign certificate (cones._sign_rejections) proves from a batched inverse of a positive
+# definite K that the lambda_min eigenvector of K has entries of both signs beyond
+# SIGNABLE_TOL, so eigh would reject its support.  It trusts K only when ||K||_F ||K^-1||_F
+# is at most this: the computed inverse then errs by at most SIGN_CERT_ROUNDING times that,
+# 1e-5 relative, small enough for the first-order rounding bounds below to hold.  Worse
+# conditioned supports go to eigh.
+SIGN_CERT_COND_LIMIT = 1e8
+# Rounding budget of the sign certificate, about 450 eps: above the p(n) eps (n <= 16) of
+# each error it covers.  ||K^-1||_F^2 is inflated by this times the condition number (an LU
+# inverse errs by about n eps kappa relative); the residual ||K x - theta x||, the Rayleigh
+# quotient theta and the gap each move by this times ||K||; and eigh's eigenvector errs by at
+# most this times ||K|| over the gap (LAPACK's p(n) eps ||K|| / gap).  At any gap where the
+# certificate can reject, the margin this adds is far below the sign entries it compares.
+SIGN_CERT_ROUNDING = 1e-13
 # Relative cofactor rays or off-ray entries of B^T rho this small void general position.
 GENERAL_POSITION_TOL = 1e-6
 # Product cone sampling weights each factor at least this, so no sample drops a block.

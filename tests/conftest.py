@@ -1,10 +1,13 @@
 """Shared helpers for the test suite."""
 
+import functools
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
+import coniccond.cones
 from coniccond import Negated, Orthant, Product, polar_decompose, subspace_from_rowspan
 from coniccond.harness import gaussian_matrix, trial_stream
 from coniccond.tolerances import (CAP_BOUNDARY_TOL, CAP_TIE_TOL, CENTER_NORM_FLOOR,
@@ -44,33 +47,85 @@ def random_spd(rng, m, lo=0.5, hi=4.0):
     return (q * eigs) @ q.T
 
 
-def full_orthant_minimum(m_mat, max_size=None):
-    """min y^T M y over unit y >= 0, solving every support: no pruning, no certified cap.
+def count_decided(monkeypatch, call):
+    """call(), and Counters {support size: supports decided} and {support size: eigh matrices}.
 
-    The reference for the library's enumeration: each support's lambda_min
-    eigenvector, signed by its largest entry, is accepted when it dips at
-    most SIGNABLE_TOL below zero; the value is the least accepted
-    eigenvalue and the witness comes from the lexicographically smallest
-    support within TIE_TOL of it.  With ``max_size`` only the supports of
-    at most that many coordinates are solved.
+    A support is decided when eigh solves it or when the sign certificate
+    (cones._sign_rejections) rejects it without a solve, so the first
+    Counter shows which supports a route reaches and the second what
+    eigh paid for them.  Undoes every monkeypatch of the test on return.
+    """
+    eigh, certify = np.linalg.eigh, coniccond.cones._sign_rejections
+    decided, solved = Counter(), Counter()
+
+    def counted_eigh(subs):
+        decided[subs.shape[-1]] += len(subs)
+        solved[subs.shape[-1]] += len(subs)
+        return eigh(subs)
+
+    def counted_certify(subs, maximize):
+        rejected, lower = certify(subs, maximize)
+        if rejected.any():
+            decided[subs.shape[-1]] += int(rejected.sum())
+        return rejected, lower
+
+    monkeypatch.setattr(coniccond.cones.np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(coniccond.cones, "_sign_rejections", counted_certify)
+    try:
+        return call(), decided, solved
+    finally:
+        monkeypatch.undo()
+
+
+@functools.lru_cache(maxsize=None)
+def _combinations(n, size):
+    return np.array(list(itertools.combinations(range(n), size)))
+
+
+def reference_decisions(subs, maximize):
+    """(accepted, value, vector) per principal submatrix, as full_orthant_extremum decides.
+
+    The extreme eigenvector (lambda_max for a maximum, lambda_min for a
+    minimum) is signed by its largest entry and accepted when it dips at
+    most SIGNABLE_TOL below zero; value is its eigenvalue.
+    """
+    eigvals, eigvecs = np.linalg.eigh(subs)
+    col = subs.shape[-1] - 1 if maximize else 0
+    vecs = eigvecs[:, :, col]
+    lead = vecs[np.arange(len(vecs)), np.argmax(np.abs(vecs), axis=1)]
+    vecs = np.where(lead[:, None] < 0.0, -vecs, vecs)
+    return vecs.min(axis=1) >= -SIGNABLE_TOL, eigvals[:, col], vecs
+
+
+def full_orthant_extremum(m_mat, maximize=False, max_size=None):
+    """Extremum of y^T M y over unit y >= 0, solving every support: no pruning, no cap.
+
+    The reference for the library's enumeration: each support is
+    accepted or not by reference_decisions; the value is the best
+    accepted eigenvalue and the witness comes from the lexicographically
+    smallest support within TIE_TOL of it.  With ``max_size`` only the
+    supports of at most that many coordinates are solved.  Returns
+    (value, witness).
     """
     n = m_mat.shape[0]
     sym = 0.5 * (m_mat + m_mat.T)
     candidates = []
     for size in range(min(n, max_size or n), 0, -1):
-        combos = np.array(list(itertools.combinations(range(n), size)))
-        eigvals, eigvecs = np.linalg.eigh(sym[combos[:, :, None], combos[:, None, :]])
-        for lam, support, vec in zip(eigvals[:, 0], combos, eigvecs[:, :, 0]):
-            if vec[np.argmax(np.abs(vec))] < 0.0:
-                vec = -vec
-            if vec.min() >= -SIGNABLE_TOL:
-                candidates.append((float(lam), tuple(support.tolist()), vec))
-    best = min(lam for lam, _, _ in candidates)
+        combos = _combinations(n, size)
+        ok, lams, vecs = reference_decisions(sym[combos[:, :, None], combos[:, None, :]],
+                                             maximize)
+        candidates.extend(zip(lams[ok].tolist(), map(tuple, combos[ok].tolist()), vecs[ok]))
+    best = (max if maximize else min)(lam for lam, _, _ in candidates)
     _, support, vec = min((c for c in candidates if abs(c[0] - best) <= TIE_TOL),
                           key=lambda c: c[1])
     point = np.zeros(n)
     point[list(support)] = np.maximum(vec, 0.0)
     return best, point / np.linalg.norm(point)
+
+
+def full_orthant_minimum(m_mat, max_size=None):
+    """min y^T M y over unit y >= 0 and its witness, by full_orthant_extremum."""
+    return full_orthant_extremum(m_mat, False, max_size)
 
 
 def reference_cap(points):

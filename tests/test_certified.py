@@ -1,6 +1,11 @@
-"""Exact classification: strict angles by enumeration, touching ones exactly 0 by Gordan."""
+"""Exact classification: strict angles by enumeration, touching ones exactly 0 by Gordan.
+
+Also the sign certificate of the enumeration: the supports it rejects
+without eigh are ones eigh rejects too, so no result changes a bit.
+"""
 
 import inspect
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -11,6 +16,7 @@ from scipy.optimize import linprog
 
 import coniccond.cones
 from coniccond import (
+    Feasibility,
     Lorentz,
     Orthant,
     analyze,
@@ -22,8 +28,10 @@ from coniccond import (
     subspace_from_rowspan,
 )
 from coniccond.cones import (ANGLE_THRESHOLD, GORDAN_MARGIN, _angle_of_cos2,
-                             _enumerate_orthant_extremum, primal_dual_angles)
-from conftest import orthant_like
+                             _enumerate_orthant_extremum, _sign_rejections,
+                             extremize_quadratic_over_cone, primal_dual_angles)
+from conftest import (full_orthant_extremum, orthant_like, random_matrix, random_orthogonal,
+                      reference_decisions, stream)
 
 
 @st.composite
@@ -242,3 +250,132 @@ class TestSideOrder:
             result = getattr(analysis, name)
             if result.angle > ANGLE_THRESHOLD:
                 assert _same(result, cone_subspace_angle(side_cone, side_w)), name
+
+
+@st.composite
+def sign_batches(draw):
+    """(kind, subs, maximize): a batch of the principal submatrices eigh would see.
+
+    The certificate screens K = subs for a minimum and K = I - subs for a
+    maximum, formed as the enumeration forms it.  The kinds are the hard
+    cases: lambda_1 and lambda_2 clustered, K near singular, a Z-matrix
+    (its lambda_min eigenvector is the positive Perron vector of K^-1, so
+    eigh accepts every support), and the two forms the enumeration meets,
+    Gram matrices A_F^T A_F and projector blocks P_F.
+    """
+    size = draw(st.integers(2, 12))
+    count = draw(st.integers(1, 80))
+    kind = draw(st.sampled_from(["clustered", "near singular", "z-matrix", "gram", "projector"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "projector":
+        n = size + draw(st.integers(1, 4))
+        basis = np.linalg.qr(rng.standard_normal((count, n, n - size)))[0]
+        proj = basis @ np.swapaxes(basis, 1, 2)
+        return kind, 0.5 * (proj + np.swapaxes(proj, 1, 2))[:, :size, :size], True
+    if kind == "gram":
+        a = rng.standard_normal((count, size + draw(st.integers(0, 3)), size))
+        a *= np.exp(draw(st.sampled_from([0.0, 1.5])) * rng.standard_normal((count, 1, size)))
+        return kind, np.swapaxes(a, 1, 2) @ a, False
+    if kind == "z-matrix":
+        off = -np.abs(rng.standard_normal((count, size, size)))
+        off = np.triu(off, 1) + np.swapaxes(np.triu(off, 1), 1, 2)
+        shift = draw(st.sampled_from([1e-12, 1e-6, 1e-2, 1.0]))
+        k = off + (shift - off.sum(axis=2))[:, :, None] * np.eye(size)
+        return kind, k, False
+    lams = np.sort(np.exp(rng.standard_normal((count, size))), axis=1)
+    if kind == "clustered":
+        gap = draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4, 1e-2, 0.1, 0.3]))
+        lams[:, 1] = lams[:, 0] * (1.0 + gap)
+    else:
+        lams[:, 0] = lams[:, 1] * draw(st.sampled_from([1e-4, 1e-7, 1e-9, 1e-12, 1e-16]))
+    q = np.array([random_orthogonal(rng, size) for _ in range(count)])
+    k = (q * lams[:, None, :]) @ np.swapaxes(q, 1, 2)
+    return kind, 0.5 * (k + np.swapaxes(k, 1, 2)), False
+
+
+class TestSignCertificate:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(sign_batches())
+    def test_rejects_only_what_eigh_rejects(self, batch):
+        kind, subs, maximize = batch
+        rejected, lower = _sign_rejections(subs, maximize)
+        accepted, lams, _ = reference_decisions(subs, maximize)
+        assert not np.any(rejected & accepted)
+        lam1 = 1.0 - lams if maximize else lams
+        assert np.all(lower[rejected] <= lam1[rejected])
+        if kind == "z-matrix":
+            assert not rejected.any()
+
+    def test_rejects_most_gaussian_gram_supports(self):
+        # The size-6 supports of a 9 x 12 Gaussian A: a dual-route minimum's batch.
+        a = random_matrix(stream(18), 9, 12)
+        supports = np.array(list(itertools.combinations(range(12), 6)))
+        subs = (a.T @ a)[supports[:, :, None], supports[:, None, :]]
+        rejected, lower = _sign_rejections(subs, False)
+        accepted, lams, _ = reference_decisions(subs, False)
+        assert not np.any(rejected & accepted)
+        assert rejected.sum() >= 0.8 * (~accepted).sum()
+        assert np.all(lower[rejected] <= lams[rejected])
+
+    def test_singular_batch_rejects_nothing(self):
+        subs = np.array([np.diag([1.0, -0.5, 2.0]), np.zeros((3, 3))])
+        rejected, _ = _sign_rejections(subs, False)
+        assert not rejected.any()
+
+
+class TestSignCertificateSweep:
+    """Fixed-seed Gaussian orthant:12 instances, analyzed as a trial analyzes them.
+
+    Every batch the sign certificate screens is checked support by support
+    against the reference's own rule (reference_decisions): it rejects
+    only supports the reference rejects, and its lower bound is at most
+    the reference's lambda_min.  Every 10th instance also solves one
+    extremum, in turn the primal angle, the dual angle and the dual-route
+    minimum, and compares it bit for bit with full_orthant_extremum, which
+    solves all 4095 supports.
+    """
+
+    @pytest.mark.parametrize("m", [3, 6, 9])
+    def test_sweep_rejects_only_what_the_reference_rejects(self, monkeypatch, m):
+        certify = coniccond.cones._sign_rejections
+        rejections = []
+
+        def checked(subs, maximize):
+            rejected, lower = certify(subs, maximize)
+            accepted, lams, _ = reference_decisions(subs, maximize)
+            assert not np.any(rejected & accepted)
+            lam1 = 1.0 - lams if maximize else lams
+            assert np.all(lower[rejected] <= lam1[rejected])
+            rejections.append(int(rejected.sum()))
+            return rejected, lower
+
+        monkeypatch.setattr(coniccond.cones, "_sign_rejections", checked)
+        cone = Orthant(12)
+        for i in range(667):
+            a = random_matrix(stream(18 + m, i), m, 12)
+            analysis = analyze(cone, None, a=a)
+            if analysis.status.tag is Feasibility.DUAL_STRICT:
+                analysis.dual_minimum
+            if i % 10 == 0:
+                _assert_reference_extremum(cone, a, (i // 10) % 3)
+        assert sum(rejections) > 0
+
+
+def _assert_reference_extremum(cone, a, kind):
+    """One extremum of (cone, A) equals full_orthant_extremum bit for bit.
+
+    kind 0 is the primal angle's maximum, 1 the dual angle's, and 2 the
+    dual-route minimum over the dual cone.
+    """
+    w = subspace_from_rowspan(a)
+    side_cone, side_w = (cone, w) if kind == 0 else (dual_cone(cone), complement(w))
+    signs = side_cone.orthant_signs
+    if kind == 2:
+        ext = extremize_quadratic_over_cone(a.T @ a, side_cone, False, _factor=a)
+        value, point = full_orthant_extremum(signs[:, None] * (a.T @ a) * signs)
+    else:
+        proj = side_w.projector()
+        ext = extremize_quadratic_over_cone(proj, side_cone, True, _factor=side_w.basis)
+        value, point = full_orthant_extremum(signs[:, None] * proj * signs, True)
+    assert ext.value == value
+    assert np.array_equal(ext.point, signs * point)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import coniccond.harness
 from coniccond import (
     DimensionError,
     ExperimentConfig,
@@ -170,6 +171,26 @@ class TestExperiment:
         monkeypatch.setenv("CONIC_COND_THREADS", "4")
         run_experiment(ExperimentConfig(n=4, m=2, trials=30, seed=3, output_path=str(out2)))
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("threads, pools", [(None, 0), ("1", 0), ("2", 1)])
+    def test_one_worker_runs_inline(self, tmp_path, monkeypatch, threads, pools):
+        out = tmp_path / "records.jsonl"
+        reference = tmp_path / "reference.jsonl"
+        monkeypatch.delenv("CONIC_COND_THREADS", raising=False)
+        run_experiment(ExperimentConfig(n=4, m=2, trials=6, seed=3, output_path=str(reference)))
+        if threads is not None:
+            monkeypatch.setenv("CONIC_COND_THREADS", threads)
+        started = []
+        pool = coniccond.harness.ThreadPoolExecutor
+
+        def counted(*args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            return pool(*args, **kwargs)
+
+        monkeypatch.setattr(coniccond.harness, "ThreadPoolExecutor", counted)
+        run_experiment(ExperimentConfig(n=4, m=2, trials=6, seed=3, output_path=str(out)))
+        assert len(started) == pools
+        assert out.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize("raw", ["0", "two"])
     def test_bad_thread_count_names_the_variable(self, monkeypatch, raw):

@@ -1,19 +1,17 @@
 """Dual-route minimum: interlacing prune and certified cap, bit for bit against every support."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-import coniccond.cones
 from coniccond import Feasibility, Orthant, RankDeficient, analyze, distance_to_primal_feasible
 from coniccond.condition import _min_image_over_dual
 from coniccond.cones import dual_cone
 from coniccond.tolerances import GORDAN_MARGIN
-from conftest import full_orthant_minimum, orthant_like, random_matrix, stream
+from conftest import count_decided, full_orthant_minimum, orthant_like, random_matrix, stream
 
 
 def _reference(cone, a):
@@ -64,21 +62,6 @@ def instances(draw):
     return cone, a
 
 
-def _solve_counted(monkeypatch, call):
-    """call(), and a Counter of the support sizes of every matrix eigh solved in it."""
-    original, sizes = np.linalg.eigh, Counter()
-
-    def counted(subs):
-        sizes[subs.shape[-1]] += len(subs)
-        return original(subs)
-
-    monkeypatch.setattr(coniccond.cones.np.linalg, "eigh", counted)
-    try:
-        return call(), sizes
-    finally:
-        monkeypatch.undo()
-
-
 @pytest.fixture
 def dual_strict():
     """A Gaussian dual strict (12, 6) instance whose dual-route minimum is capped at m."""
@@ -108,9 +91,12 @@ class TestAgainstEverySupport:
 class TestSolvedSupports:
     def test_capped_minimum_solves_no_support_above_m(self, monkeypatch, dual_strict):
         a, analysis = dual_strict
-        (value, p, _), sizes = _solve_counted(monkeypatch, lambda: analysis.dual_minimum)
+        (value, p, _), sizes, solved = count_decided(monkeypatch,
+                                                     lambda: analysis.dual_minimum)
         assert max(sizes) == 6
         assert sum(sizes.values()) < 2**12 - 1
+        # The sign certificate settles most of them without eigh.
+        assert sum(solved.values()) < sum(sizes.values())
         ref_value, ref_p = _reference(Orthant(12), a)
         assert value == ref_value
         assert np.array_equal(p, ref_p)
@@ -126,7 +112,7 @@ class TestSolvedSupports:
         assert analysis.status.tag is Feasibility.DUAL_STRICT
         assert analysis.kappa >= 1e7
         assert _certificate_holds(Orthant(12), a)
-        (value, p, _), sizes = _solve_counted(monkeypatch, lambda: analysis.dual_minimum)
+        (value, p, _), sizes, _ = count_decided(monkeypatch, lambda: analysis.dual_minimum)
         assert max(sizes) == 6
         ref_value, ref_p = _reference(Orthant(12), a)
         assert value == ref_value
@@ -134,8 +120,8 @@ class TestSolvedSupports:
 
     def test_distance_to_primal_feasible_takes_the_certified_cap(self, monkeypatch, dual_strict):
         a, _ = dual_strict
-        value, sizes = _solve_counted(monkeypatch,
-                                      lambda: distance_to_primal_feasible(Orthant(12), a))
+        value, sizes, _ = count_decided(monkeypatch,
+                                        lambda: distance_to_primal_feasible(Orthant(12), a))
         assert max(sizes) == 6
         assert sum(sizes.values()) < 2**12 - 1
         assert value == _reference(Orthant(12), a)[0]
@@ -147,8 +133,8 @@ class TestSolvedSupports:
         a = random_matrix(stream(0), 6, 12)
         a[:, -1] = -a[:, :-1] @ np.abs(random_matrix(stream(1), 1, 11)[0])
         assert not _certificate_holds(Orthant(12), a)
-        (value, p, _), sizes = _solve_counted(monkeypatch,
-                                              lambda: _min_image_over_dual(Orthant(12), a, 0))
+        (value, p, _), sizes, _ = count_decided(monkeypatch,
+                                                lambda: _min_image_over_dual(Orthant(12), a, 0))
         assert all(sizes[size] > 0 for size in range(6, 13))
         assert np.count_nonzero(p) > 6
         ref_value, ref_p = _reference(Orthant(12), a)

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import coniccond.cones
 from coniccond import Orthant, Subspace, cone_subspace_angle
 from coniccond.cones import (REALIZABLE_MIN_DIM, _angle_of_cos2, _enumerate_orthant_extremum,
                              _realizable_supports, extremize_quadratic_over_cone)
 from coniccond.grassmann import complement
 from coniccond.tolerances import GORDAN_MARGIN
-from conftest import full_orthant_minimum, orthant_like
+from conftest import count_decided, full_orthant_minimum, orthant_like
 
 
 def _row_basis(a):
@@ -116,17 +115,14 @@ class TestCellCount:
                 assert (2 * r <= n) == (_cover_bound(n, r) <= 2 ** (n - 1)), (n, r)
 
 
-def _solved_by_size(monkeypatch, *args, **kwargs):
-    """{support size: matrices sent to eigh} for one extremize_quadratic_over_cone call."""
-    original, solved = np.linalg.eigh, {}
+def _decided_by_size(monkeypatch, *args, **kwargs):
+    """{support size: supports decided} for one extremize_quadratic_over_cone call.
 
-    def counted(subs):
-        solved[subs.shape[-1]] = solved.get(subs.shape[-1], 0) + len(subs)
-        return original(subs)
-
-    monkeypatch.setattr(coniccond.cones.np.linalg, "eigh", counted)
-    extremize_quadratic_over_cone(*args, **kwargs)
-    return solved
+    A support is decided when eigh solves it or the sign certificate rejects it.
+    """
+    _, decided, _ = count_decided(monkeypatch,
+                                  lambda: extremize_quadratic_over_cone(*args, **kwargs))
+    return dict(decided)
 
 
 def _supports_up_to(n, size):
@@ -151,12 +147,13 @@ def _cells_up_to(table, size):
 
 
 class TestFullRouteFallback:
-    """Route counts.  A strict side (r = dim W) solves no support of more than n - r
-    coordinates; a side that touches the cone refuses the certificate and solves
-    every support its route has."""
+    """Route counts, as supports decided: solved by eigh or rejected by the sign
+    certificate.  A strict side (r = dim W) decides no support of more than n - r
+    coordinates; a side that touches the cone refuses the Gordan certificate and
+    decides every support its route has."""
 
-    def _solved_matrices(self, monkeypatch, *args, **kwargs):
-        return sum(_solved_by_size(monkeypatch, *args, **kwargs).values())
+    def _decided(self, monkeypatch, *args, **kwargs):
+        return sum(_decided_by_size(monkeypatch, *args, **kwargs).values())
 
     # Strict sides here: every r = 1 and (5, 2); the rest touch.
     STRICT_BELOW_THE_TABLE = {(4, 1), (5, 1), (5, 2), (6, 1)}
@@ -166,35 +163,39 @@ class TestFullRouteFallback:
         assert n < REALIZABLE_MIN_DIM
         basis = _gaussian_basis(n, r, seed=n + r)
         assert _realizable_supports(basis) is not None
-        solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(n), True,
-                                       _factor=basis)
+        decided = self._decided(monkeypatch, basis.T @ basis, Orthant(n), True,
+                                _factor=basis)
         # No table: (4, 1) 14, (5, 1) 30, (5, 2) 25 and (6, 1) 62 of 2^n - 1.
         if (n, r) in self.STRICT_BELOW_THE_TABLE:
-            assert solved == _supports_up_to(n, n - r)
+            assert decided == _supports_up_to(n, n - r)
         else:
-            assert solved == 2**n - 1
+            assert decided == 2**n - 1
 
     @pytest.mark.parametrize("n, r", [(7, 3), (8, 4), (10, 5), (12, 6)])
     def test_half_dimension_subspace_solves_only_realizable_supports(self, monkeypatch, n, r):
         basis = _gaussian_basis(n, r, seed=n + r)
         table = _realizable_supports(basis)
         assert table is not None
-        solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(n), True,
-                                       _factor=basis)
+        _, by_size, solved = count_decided(monkeypatch, lambda: extremize_quadratic_over_cone(
+            basis.T @ basis, Orthant(n), True, _factor=basis))
+        decided = sum(by_size.values())
         if (n, r) == (8, 4):
             # Strict: the 83 of its 128 cells with at most n - r = 4 coordinates.
-            assert solved == _cells_up_to(table, n - r) == 83
+            assert decided == _cells_up_to(table, n - r) == 83
         else:
             # W meets the interior, so the table marks the full support.
             assert table[-1]
-            assert solved == int(table[1:].sum()) < 2**n - 1
+            assert decided == int(table[1:].sum()) < 2**n - 1
+        if (n, r) == (12, 6):
+            # The sign certificate settles most of them without eigh.
+            assert sum(solved.values()) < decided
 
     def test_generic_basis_solves_only_realizable_supports(self, monkeypatch):
         # Strict: the 88 of its 92 cells with at most n - r = 7 coordinates.
         basis = _gaussian_basis(10, 3, seed=1)
-        solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True,
-                                       _factor=basis)
-        assert solved == _cells_up_to(_realizable_supports(basis), 7) == 88
+        decided = self._decided(monkeypatch, basis.T @ basis, Orthant(10), True,
+                                _factor=basis)
+        assert decided == _cells_up_to(_realizable_supports(basis), 7) == 88
 
     @pytest.mark.parametrize("degeneracy", ["zero column", "duplicated column", "boundary point"])
     def test_non_general_position_takes_the_full_route(self, monkeypatch, degeneracy):
@@ -208,16 +209,16 @@ class TestFullRouteFallback:
             a[0] = [1.0, 0.5, 2.0, 0.0, 0.0, 1.5, 0.0, 0.3, 0.0, 1.0]
         basis = _row_basis(a)
         assert _realizable_supports(basis) is None
-        solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True,
-                                       _factor=basis)
+        decided = self._decided(monkeypatch, basis.T @ basis, Orthant(10), True,
+                                _factor=basis)
         if degeneracy == "boundary point":
             # The boundary point touches.
-            assert solved == 2**10 - 1
+            assert decided == 2**10 - 1
         else:
             # Strict: every support of at most n - r = 7 coordinates.  With the zero
             # column e_4 lies in W_perp, so (x - P x)_4 = 0; the certificate adds
             # ||x - P x|| e_4, which stays in W_perp.
-            assert solved == _supports_up_to(10, 7) == 967
+            assert decided == _supports_up_to(10, 7) == 967
             monkeypatch.undo()
             full = _enumerate_orthant_extremum(basis.T @ basis, True)
             ext = extremize_quadratic_over_cone(basis.T @ basis, Orthant(10), True,
@@ -244,17 +245,17 @@ class TestFullRouteFallback:
 
     def test_no_basis_takes_the_full_route(self, monkeypatch):
         basis = _gaussian_basis(10, 3, seed=1)
-        solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True)
-        assert solved == 2**10 - 1
+        decided = self._decided(monkeypatch, basis.T @ basis, Orthant(10), True)
+        assert decided == 2**10 - 1
 
     def test_subspace_above_half_the_dimension_takes_the_full_route(self, monkeypatch):
         # Cover's bound at (10, 6) is 764 of 1024 sign patterns.  W is strict, so
         # the full route solves every support of at most n - r = 4 coordinates.
         basis = _gaussian_basis(10, 6, seed=1)
         assert _realizable_supports(basis) is not None
-        solved = self._solved_matrices(monkeypatch, basis.T @ basis, Orthant(10), True,
-                                       _factor=basis)
-        assert solved == _supports_up_to(10, 4) == 385
+        decided = self._decided(monkeypatch, basis.T @ basis, Orthant(10), True,
+                                _factor=basis)
+        assert decided == _supports_up_to(10, 4) == 385
 
 
 class TestStrictCap:
@@ -263,8 +264,8 @@ class TestStrictCap:
     def test_certified_table_route_solves_no_support_above_n_minus_r(self, monkeypatch):
         basis = _gaussian_basis(12, 6, seed=2)
         assert cone_subspace_angle(Orthant(12), Subspace(basis)).angle > 0.3
-        solved = _solved_by_size(monkeypatch, basis.T @ basis, Orthant(12), True, _factor=basis)
-        assert max(solved) == 6
+        decided = _decided_by_size(monkeypatch, basis.T @ basis, Orthant(12), True, _factor=basis)
+        assert max(decided) == 6
 
     def test_certified_full_route_solves_no_support_above_n_minus_r(self, monkeypatch):
         # The strict side of a dual strict (3, 12) instance: W_perp of a row span
@@ -272,9 +273,9 @@ class TestStrictCap:
         a = np.random.default_rng(0).standard_normal((3, 12))
         a[0] = np.abs(a[0])
         w = complement(Subspace(_row_basis(a)))
-        solved = _solved_by_size(monkeypatch, w.projector(), Orthant(12), True, _factor=w.basis)
-        assert sorted(solved) == [1, 2, 3]
-        assert sum(solved.values()) == _supports_up_to(12, 3) == 298
+        decided = _decided_by_size(monkeypatch, w.projector(), Orthant(12), True, _factor=w.basis)
+        assert sorted(decided) == [1, 2, 3]
+        assert sum(decided.values()) == _supports_up_to(12, 3) == 298
 
     def test_near_boundary_subspace_refuses_the_certificate(self, monkeypatch):
         # W passes within 2.8e-8 of a face with 8 > n - r = 7 coordinates,
@@ -288,8 +289,8 @@ class TestStrictCap:
         assert _realizable_supports(basis) is None
         _, capped, _ = _enumerate_orthant_extremum(projector, True, _sizes_at_most(n, n - r))
         assert (capped - projector @ capped).min() <= GORDAN_MARGIN
-        solved = _solved_by_size(monkeypatch, projector, Orthant(n), True, _factor=basis)
-        assert solved == {size: math.comb(n, size) for size in range(1, n + 1)}
+        decided = _decided_by_size(monkeypatch, projector, Orthant(n), True, _factor=basis)
+        assert decided == {size: math.comb(n, size) for size in range(1, n + 1)}
         monkeypatch.undo()
         full = _enumerate_orthant_extremum(projector, True)
         ext = extremize_quadratic_over_cone(projector, Orthant(n), True, _factor=basis)
@@ -308,8 +309,8 @@ class TestStrictCap:
         _, capped, _ = _enumerate_orthant_extremum(projector, True, _sizes_at_most(5, 4))
         w = capped - projector @ capped
         assert 0.0 < w.min() < GORDAN_MARGIN * math.sqrt(capped @ w)
-        solved = _solved_by_size(monkeypatch, projector, Orthant(5), True, _factor=basis)
-        assert solved == {size: math.comb(5, size) for size in range(1, 6)}
+        decided = _decided_by_size(monkeypatch, projector, Orthant(5), True, _factor=basis)
+        assert decided == {size: math.comb(5, size) for size in range(1, 6)}
         monkeypatch.undo()
         full = _enumerate_orthant_extremum(projector, True)
         ext = extremize_quadratic_over_cone(projector, Orthant(5), True, _factor=basis)
