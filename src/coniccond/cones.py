@@ -20,15 +20,18 @@ the intersection of a cone with the unit sphere:
   otherwise the larger sizes are solved too and selected as the full
   enumeration does;
 * a minimum skips the supports that Cauchy interlacing shows cannot
-  win or tie;
+  attain it;
 * within that cap, where K_F is positive definite, a batch of supports
   first takes a sign certificate (_sign_rejections): one batched
   inverse and a few steps of inverse iteration prove that most
   supports' eigenvectors have entries of both signs, so eigh, which
   would reject them, solves only the rest;
+* the returned point comes from the lexicographically smallest accepted
+  support whose computed value is the extremum, so it attains the value
+  returned with it;
 * for everything else (Lorentz cones and products involving them) a
-  multistart projected-gradient search is used and the spread of the
-  best converged values is reported as an uncertainty gap.
+  multistart projected-gradient search returns its best converged run,
+  with no certificate.
 
 primal_dual_angles solves the strict side first where the realizable
 table shows it.  When that side is exact, Gordan's alternative can show
@@ -54,9 +57,9 @@ from .errors import (
 )
 from .grassmann import Subspace, angle_point_subspace, complement
 from .tolerances import (ANGLE_THRESHOLD, ASCENT_MAX_STEPS, ASCENT_MIN_GAIN, ASCENT_MIN_NORM,
-                         ASCENT_MIN_STEP, GENERAL_POSITION_TOL, GORDAN_MARGIN, MEMBERSHIP_TOL,
-                         PRODUCT_WEIGHT_FLOOR, SIGN_CERT_COND_LIMIT, SIGN_CERT_ROUNDING,
-                         SIGNABLE_TOL, SMALL_ANGLE, TIE_TOL)
+                         ASCENT_MIN_STEP, GENERAL_POSITION_TOL, GORDAN_MARGIN, INTERLACING_MARGIN,
+                         MEMBERSHIP_TOL, PRODUCT_WEIGHT_FLOOR, SIGN_CERT_COND_LIMIT,
+                         SIGN_CERT_ROUNDING, SIGNABLE_TOL, SMALL_ANGLE)
 
 # Orthant enumeration is exact but exponential; beyond this many
 # coordinates the multistart path takes over.
@@ -388,10 +391,9 @@ class QuadraticExtremum:
     """Extremum of x^T M x over (cone intersect unit sphere)."""
 
     value: float
-    point: np.ndarray           # witness; for exact, a tie within TIE_TOL of value
+    point: np.ndarray           # a point whose own value is value
     method: str                 # "exact" | "multistart"
     converged_values: np.ndarray  # best first; single entry for exact
-    peak: np.ndarray            # a point whose own value is value
 
 
 def _angle_of_cos2(lam: float) -> float:
@@ -422,9 +424,7 @@ def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
     not in general position within GENERAL_POSITION_TOL: a vanishing
     cofactor ray, or a ray on another hyperplane.  A column b_i that
     small is one of these: since r - 1 < n some S omits i, and
-    |(B^T rho)_i| <= ||b_i|| for its unit ray rho.  The band
-    is near sqrt(TIE_TOL): a support whose cell is a crossing that close
-    from the maximizer's can tie with it for the witness.
+    |(B^T rho)_i| <= ||b_i|| for its unit ray rho.
     """
     r, n = basis.shape
     norms = np.linalg.norm(basis, axis=0)
@@ -455,11 +455,10 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
 
     The extremizer restricted to its support F is an eigenvector of
     M[F, F]; a candidate is accepted when that eigenvector can be signed
-    nonnegative.  Returns (value, witness, peak) as _best_candidate does:
-    the witness breaks ties within TIE_TOL by lexicographically smallest
-    support, and the peak attains the value.
-    Sizes are visited from n down to 1; neither the value nor the
-    tie-breaks depend on that order.
+    nonnegative.  Returns (value, point) as _best_candidate does: the
+    point comes from the lexicographically smallest accepted support whose
+    value is the extremum.  Sizes are visited from n down to 1; neither
+    the value nor the point depends on that order.
 
     With ``realizable`` (a table from _realizable_supports, for a maximum
     only) only the supports it marks are solved, each as in the full
@@ -485,8 +484,8 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
     whose lambda_min exceeds the best accepted value by more than
     ``margin``.  By Cauchy interlacing lambda_min(M_T) >= lambda_min(M_S).
     A computed eigenvalue errs by about n eps ||M||, far below
-    TIE_TOL max(1, ||M||_inf), so a skipped support's value would exceed
-    the final best by more than TIE_TOL: it could neither win nor tie,
+    INTERLACING_MARGIN max(1, ||M||_inf), so a skipped support's computed
+    value would exceed the final best: it could not attain the extremum,
     and the result keeps its bits.  A minimum refuses a table, whose
     holes that cascade would spread.
 
@@ -512,7 +511,7 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
     # projector I - M.
     norm_k = 1.0 if maximize else float(np.abs(sym).sum(axis=1).max())
     if not maximize:
-        margin = 2.0 * TIE_TOL * max(1.0, norm_k)
+        margin = 2.0 * INTERLACING_MARGIN * max(1.0, norm_k)
         bits = np.int64(1) << np.arange(n)
     # Accepted (values, supports, vectors) by support size; a 1x1
     # eigenvector can always be signed, so size 1 accepts every row.
@@ -630,29 +629,23 @@ def _sign_rejections(subs, maximize):
 
 
 def _best_candidate(accepted, maximize, n):
-    """(extremum, witness, peak) over accepted (values, supports, vectors), or None if none.
+    """(extremum, point) over accepted (values, supports, vectors), or None if none.
 
-    The witness is the lexicographically smallest support within TIE_TOL
-    of the extremum; the peak is the smallest whose value is the extremum.
+    The point comes from the lexicographically smallest support whose
+    value is the extremum.
     """
     accepted = [c for c in accepted if c[0].size]
     if not accepted:
         return None
-    # The value is the plain extremum; the lexicographic tie-break picks
-    # only the witness so it cannot degrade the value (near 0 and 1 even
-    # 1e-13 of eigenvalue slack amplifies into angle errors above the
-    # classification threshold).
     values = np.concatenate([lams for lams, _, _ in accepted])
     best_val = float(values.max() if maximize else values.min())
-    # Supports come in lexicographic order, so each size's first tie is
-    # its smallest; the witness is the smallest of those within TIE_TOL,
-    # and the peak the smallest of those whose own value is the extremum.
-    tied, peaks = [], []
+    # Supports come in lexicographic order, so each size's first support
+    # attaining the extremum is its smallest.
+    firsts = []
     for lams, supports, vecs in accepted:
-        for ties, mask in ((tied, np.abs(lams - best_val) <= TIE_TOL), (peaks, lams == best_val)):
-            ties.extend((tuple(supports[i].tolist()), vecs[i]) for i in np.flatnonzero(mask)[:1])
-    witness, peak = (_unit_point(*min(ties, key=lambda c: c[0]), n) for ties in (tied, peaks))
-    return best_val, witness, peak
+        firsts.extend((tuple(supports[i].tolist()), vecs[i])
+                      for i in np.flatnonzero(lams == best_val)[:1])
+    return best_val, _unit_point(*min(firsts, key=lambda c: c[0]), n)
 
 
 def _unit_point(support, vec, n):
@@ -761,12 +754,11 @@ def extremize_quadratic_over_cone(
             cap = cone.dim - len(_factor) if maximize else len(_factor)
             if maximize:
                 table = _route_table(cone, _factor) if _table is _BUILD else _table
-        val, y, peak = _enumerate_orthant_extremum(conj, maximize, table, cap)
+        val, y = _enumerate_orthant_extremum(conj, maximize, table, cap)
         return QuadraticExtremum(value=val, point=signs * y, method="exact",
-                                 converged_values=np.array([val]), peak=signs * peak)
+                                 converged_values=np.array([val]))
     val, x, values = _multistart_extremum(m_mat, cone, maximize, seed, multistart_count)
-    return QuadraticExtremum(value=val, point=x, method="multistart", converged_values=values,
-                             peak=x)
+    return QuadraticExtremum(value=val, point=x, method="multistart", converged_values=values)
 
 
 @dataclass(frozen=True)
@@ -774,28 +766,23 @@ class ConeAngleResult:
     """The minimal angle between nonzero cone points and a subspace.
 
     method is "exact" (support enumeration, or the exact zero that
-    Gordan's alternative gives a touching side; gap 0) or "multistart"
-    (gap: spread of the best converged cosines).
+    Gordan's alternative gives a touching side) or "multistart" (the
+    best converged run, with no certificate).
     """
 
     angle: float
     witness: np.ndarray          # unit vector in the cone attaining the angle
     method: str                  # "exact" | "multistart"
-    certified_gap: float         # bound on underestimation of cos(angle)
 
 
 def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0, *,
                         _table=_BUILD) -> ConeAngleResult:
     """Angle(C, W) = arccos of the max of ||proj_W x|| over unit x in C.
 
-    Zero when the subspace meets the cone nontrivially.  The returned
-    gap is 0 for the exact path and the spread of the best converged
-    cosines for the multistart path.  A strict exact angle below
-    SMALL_ANGLE is read from the sine ||x - P_W x|| of the peak x, the
-    candidate whose own eigenvalue is the maximum, where arccos of the
-    eigenvalue errs by about eps / angle.  The witness is only tied
-    within TIE_TOL of the maximum, so its sin^2 may be up to TIE_TOL
-    larger: neither this angle nor a touching one is read from it.
+    Zero when the subspace meets the cone nontrivially.  A strict exact
+    angle below SMALL_ANGLE is read from the sine ||x - P_W x|| of the
+    witness x, whose own eigenvalue is the maximum, where arccos of the
+    eigenvalue errs by about eps / angle.
     ``_table`` is the realizable table of this angle, or None, when
     primal_dual_angles has built it already.
     """
@@ -804,31 +791,25 @@ def cone_subspace_angle(cone: Cone, w: Subspace, seed: int = 0, *,
     ext = extremize_quadratic_over_cone(w.projector(), cone, maximize=True, seed=seed,
                                         _table=_table, _factor=w.basis)
     angle = _angle_of_cos2(ext.value)
-    if ext.method == "exact":
-        gap = 0.0
-        if ANGLE_THRESHOLD < angle < SMALL_ANGLE:
-            angle = angle_point_subspace(ext.peak, w)
-    else:
-        cosines = np.sqrt(np.clip(ext.converged_values, 0.0, 1.0))
-        k = min(8, cosines.size)
-        gap = float(cosines[0] - cosines[k - 1])
-    return ConeAngleResult(angle=angle, witness=ext.point, method=ext.method, certified_gap=gap)
+    if ext.method == "exact" and ANGLE_THRESHOLD < angle < SMALL_ANGLE:
+        angle = angle_point_subspace(ext.point, w)
+    return ConeAngleResult(angle=angle, witness=ext.point, method=ext.method)
 
 
 def _gordan_zero(cone: Cone, solved_w: Subspace, solved: ConeAngleResult) -> ConeAngleResult | None:
     """The exact zero angle of the side opposite a strict exact one, or None.
 
-    ``solved`` is the exact angle of the other side: its witness y
-    maximizes ||P y|| (P the projector onto ``solved_w``) over unit y in
-    the dual of ``cone``, at cos^2 = lam < 1.  For any y, v = P y - y lies
-    in the complement of ``solved_w``, the subspace of this side.  By the
-    KKT conditions d * v = (1 - lam) |y| + mu with mu >= 0, d the sign
-    vector of ``cone`` (Cone.orthant_signs), so v lies in ``cone``.  When
-    min(d * v) / ||v|| > GORDAN_MARGIN, v lies in its interior (see
-    GORDAN_MARGIN): this side's subspace meets it, and its angle is
-    exactly 0 with witness v / ||v||.  None when ``solved`` is not
-    strict or not exact, ``cone`` has no sign vector, or v fails the
-    margin.
+    ``solved`` is the exact angle of the other side: its witness y, whose
+    own eigenvalue is the maximum, maximizes ||P y|| (P the projector onto
+    ``solved_w``) over unit y in the dual of ``cone``, at cos^2 = lam < 1.
+    v = P y - y lies in the complement of ``solved_w``, the subspace of
+    this side.  By the KKT conditions at y, d * v = (1 - lam) |y| + mu
+    with mu >= 0, d the sign vector of ``cone`` (Cone.orthant_signs), so
+    v lies in ``cone``.  When min(d * v) / ||v|| > GORDAN_MARGIN, v lies
+    in its interior (see GORDAN_MARGIN): this side's subspace meets it,
+    and its angle is exactly 0 with witness v / ||v||.  None when
+    ``solved`` is not strict or not exact, ``cone`` has no sign vector,
+    or v fails the margin.
     """
     signs = cone.orthant_signs
     if solved.method != "exact" or solved.angle <= ANGLE_THRESHOLD or signs is None:
@@ -837,7 +818,7 @@ def _gordan_zero(cone: Cone, solved_w: Subspace, solved: ConeAngleResult) -> Con
     norm = float(np.linalg.norm(v))
     if not float((signs * v).min()) / norm > GORDAN_MARGIN:
         return None
-    return ConeAngleResult(angle=0.0, witness=v / norm, method="exact", certified_gap=0.0)
+    return ConeAngleResult(angle=0.0, witness=v / norm, method="exact")
 
 
 def primal_dual_angles(cone: Cone, w: Subspace,

@@ -18,8 +18,10 @@ ANGLE_THRESHOLD = 1e-7
 MEMBERSHIP_TOL = 1e-9
 # An eigenvector of a principal submatrix is signable when it dips at most this below zero.
 SIGNABLE_TOL = 1e-9
-# Enumerated extremum candidates within this of the best value tie for the witness.
-TIE_TOL = 1e-12
+# A minimum's interlacing cascade skips a support whose one-larger superset has lambda_min
+# above the best accepted value by more than twice this times max(1, ||M||_inf): far above the
+# n eps ||M|| error of a computed eigenvalue, so a skipped support could not attain the minimum.
+INTERLACING_MARGIN = 1e-12
 # An exact extremum skips the supports of more than k coordinates, k the rank of a form K
 # (A^T A for the dual-route minimum, I - P for the maximum of the projector P onto W), when
 # w = K x exceeds this times (||K|| x^T K x)^(1/2) in every entry, x the best smaller

@@ -10,8 +10,7 @@ import numpy as np
 import coniccond.cones
 from coniccond import Negated, Orthant, Product, polar_decompose, subspace_from_rowspan
 from coniccond.harness import gaussian_matrix, trial_stream
-from coniccond.tolerances import (CAP_BOUNDARY_TOL, CAP_TIE_TOL, CENTER_NORM_FLOOR,
-                                  SIGNABLE_TOL, TIE_TOL)
+from coniccond.tolerances import CAP_BOUNDARY_TOL, CAP_TIE_TOL, CENTER_NORM_FLOOR, SIGNABLE_TOL
 
 
 def stream(seed, index=0):
@@ -103,9 +102,9 @@ def full_orthant_extremum(m_mat, maximize=False, max_size=None):
     The reference for the library's enumeration: each support is
     accepted or not by reference_decisions; the value is the best
     accepted eigenvalue and the witness comes from the lexicographically
-    smallest support within TIE_TOL of it.  With ``max_size`` only the
-    supports of at most that many coordinates are solved.  Returns
-    (value, witness).
+    smallest support whose eigenvalue is that value.  With ``max_size``
+    only the supports of at most that many coordinates are solved.
+    Returns (value, witness).
     """
     n = m_mat.shape[0]
     sym = 0.5 * (m_mat + m_mat.T)
@@ -116,8 +115,7 @@ def full_orthant_extremum(m_mat, maximize=False, max_size=None):
                                              maximize)
         candidates.extend(zip(lams[ok].tolist(), map(tuple, combos[ok].tolist()), vecs[ok]))
     best = (max if maximize else min)(lam for lam, _, _ in candidates)
-    _, support, vec = min((c for c in candidates if abs(c[0] - best) <= TIE_TOL),
-                          key=lambda c: c[1])
+    _, support, vec = min((c for c in candidates if c[0] == best), key=lambda c: c[1])
     point = np.zeros(n)
     point[list(support)] = np.maximum(vec, 0.0)
     return best, point / np.linalg.norm(point)

@@ -16,6 +16,7 @@ from coniccond import (
     Subspace,
     classify_feasibility,
     complement,
+    condition_report,
     cone_membership,
     cone_subspace_angle,
     dual_cone,
@@ -161,15 +162,17 @@ class TestParse:
 
 class TestConeSubspaceAngle:
     def test_halfline_against_orthant(self):
+        # e_1 and e_2 both attain cos^2 = 1/2 exactly; in the computed
+        # projector e_2's diagonal entry is the larger, so e_2 is the witness.
         res = cone_subspace_angle(Orthant(3), span([1, -1, 0]))
         assert res.angle == pytest.approx(math.pi / 4, abs=1e-12)
-        np.testing.assert_allclose(res.witness, [1.0, 0.0, 0.0], atol=1e-12)
-        assert res.method == "exact" and res.certified_gap == 0.0
+        np.testing.assert_allclose(res.witness, [0.0, 1.0, 0.0], atol=1e-12)
+        assert res.method == "exact"
 
     @pytest.mark.parametrize("t", [1e-4, 1e-5, 1e-6, 2e-7])
     def test_small_strict_angle_is_read_from_the_peak(self, t):
-        # W = span(cos t, -sin t) misses Orthant(2) at angle t, witness and
-        # peak e_1.  Below SMALL_ANGLE the angle is read from the sine
+        # W = span(cos t, -sin t) misses Orthant(2) at angle t, witness
+        # e_1.  Below SMALL_ANGLE the angle is read from the sine
         # ||e_1 - P e_1|| = sin t, where the eigenvalue cos^2 t gave
         # C(W) sin t - 1 = 1.4e-9, 4.1e-8 and 4.4e-5 at t = 1e-4, 1e-5 and 1e-6.
         w = span([math.cos(t), -math.sin(t)])
@@ -180,17 +183,21 @@ class TestConeSubspaceAngle:
     def test_small_strict_angle_skips_a_tied_witness(self):
         # W = nu-perp, nu = (1.2e-6, 1e-6, 1), misses Orthant(3).  Only e_1,
         # e_2 and e_3 are accepted; cos^2 = 1 - 1.44e-12 at e_1 and 1 - 1e-12
-        # at e_2 tie within TIE_TOL, so the witness is e_1 while the peak
-        # e_2 attains the angle arcsin(1e-6 / ||nu||).  Read at the witness,
-        # the angle would be 1.2e-6, 20% off.
+        # at e_2 differ by less than 1e-12, yet only e_2 attains the maximum,
+        # so e_2 is the witness and the angle arcsin(1e-6 / ||nu||) is read
+        # there.  At e_1 the angle, and the printed perturbation's norm,
+        # would be 1.2e-6, 20% off.
         nu = np.array([1.2e-6, 1e-6, 1.0])
         w = complement(span(nu))
         res = cone_subspace_angle(Orthant(3), w)
         sine = 1e-6 / np.linalg.norm(nu)
-        assert res.method == "exact" and np.array_equal(res.witness, [1.0, 0.0, 0.0])
-        assert abs(angle_point_subspace(res.witness, w) / math.asin(sine) - 1.2) <= 1e-6
+        assert res.method == "exact" and np.array_equal(res.witness, [0.0, 1.0, 0.0])
+        assert res.angle == angle_point_subspace(res.witness, w)
         assert abs(res.angle / math.asin(sine) - 1.0) <= 1e-12
         assert abs(grassmann_condition(Orthant(3), w).value * sine - 1.0) <= 1e-12
+        report = condition_report(Orthant(3), w.basis, include_witnesses=True)
+        (image,) = [wit for wit in report["witnesses"] if wit["property"] == "image_contains"]
+        assert abs(image["frob_norm"] * report["grassmann"] - 1.0) <= 1e-12
 
     def test_strict_angle_above_small_angle_keeps_the_eigenvalue(self):
         # At t = 1e-3 > SMALL_ANGLE the angle is arccos of the eigenvalue's
@@ -236,7 +243,6 @@ class TestConeSubspaceAngle:
         res = cone_subspace_angle(Lorentz(4), span([1, 0, 0, 0]), seed=2)
         assert res.angle == pytest.approx(math.pi / 4, abs=1e-9)
         assert res.method == "multistart"
-        assert res.certified_gap >= 0.0
 
     def test_permutation_invariance(self):
         rng = stream(46)

@@ -1,10 +1,11 @@
 """Invariances of the feasibility tag and C(W), on Gaussian instances from hypothesis seeds.
 
-The cones here are orthant-like, so every angle comes from the exact
-route and the invariances hold to rounding.  That rounding grows with
-C(W): C(W) = 1/sin(angle) is read from cos^2(angle), whose rounding error
-eps becomes a relative error of about eps C(W)^2 in C(W) (2.4e-9 at
-C(W) = 4652, n = 2).
+Also that each report's witness is the perturbation whose norm the
+report's condition number gives.  The cones here are orthant-like, so
+every angle comes from the exact route and these hold to rounding.  That
+rounding grows with C(W): C(W) = 1/sin(angle) is read from cos^2(angle),
+whose rounding error eps becomes a relative error of about eps C(W)^2 in
+C(W) (2.4e-9 at C(W) = 4652, n = 2).
 """
 
 import math
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coniccond import Feasibility, Orthant, analyze, complement, subspace_from_rowspan
+from coniccond import (Feasibility, Orthant, analyze, complement, condition_report,
+                       subspace_from_rowspan)
 from conftest import orthant_like, random_matrix, stream
 
 SWAPPED = {
@@ -33,16 +35,19 @@ def _tag_and_condition(cone, w):
     return analysis.status.tag, analysis.grassmann.value
 
 
-def _assert_same_condition(got, expected):
+def _assert_same_condition(got, expected, condition=None):
+    """got == expected within rel 1e-9 + 16 eps C^2, C = ``condition`` or else expected."""
     if math.isinf(expected):
         assert got == expected
     else:
-        assert got == pytest.approx(expected, rel=1e-9 + 16.0 * EPS * expected**2)
+        condition = expected if condition is None else condition
+        assert got == pytest.approx(expected, rel=1e-9 + 16.0 * EPS * condition**2)
 
 
 def _orthant_like(kind: str, n: int):
     blocks = {"orthant": [(True, n)], "negated": [(False, n)],
-              "product": [(True, n // 2), (False, n - n // 2)]}
+              "product": [(True, n // 2), (False, n - n // 2)],
+              "split": [(True, 1), (False, n - 1)]}
     return orthant_like(blocks[kind])
 
 
@@ -86,3 +91,24 @@ def test_change_of_basis(shape, seed, kind):
     new_tag, new_value = _tag_and_condition(cone, subspace_from_rowspan(basis_change @ a))
     assert new_tag is tag
     _assert_same_condition(new_value, value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=shapes, seed=seeds, kind=st.sampled_from(["orthant", "negated", "product", "split"]))
+def test_witness_norm_is_the_reported_distance(shape, seed, kind):
+    # A primal strict report's perturbation of the balanced representative
+    # has norm 1/C(W); a dual strict report's perturbation of A has norm
+    # sigma_1(A) / R(A), the dual-route minimum.
+    m, n = shape
+    cone = _orthant_like(kind, n)
+    a = random_matrix(stream(seed), m, n)
+    report = condition_report(cone, a, include_witnesses=True)
+    if report["status"] == Feasibility.ILL_POSED.value:
+        return
+    (witness,) = report["witnesses"]
+    grassmann = report["grassmann"]
+    if report["status"] == Feasibility.PRIMAL_STRICT.value:
+        _assert_same_condition(witness["frob_norm"] * grassmann, 1.0, grassmann)
+    else:
+        _assert_same_condition(witness["frob_norm"] * report["renegar"]["value"],
+                               float(np.linalg.norm(a, 2)), grassmann)
