@@ -58,18 +58,20 @@ from .errors import (
 from .grassmann import Subspace, angle_point_subspace, complement
 from .tolerances import (ANGLE_THRESHOLD, ASCENT_MAX_STEPS, ASCENT_MIN_GAIN, ASCENT_MIN_NORM,
                          ASCENT_MIN_STEP, GENERAL_POSITION_TOL, GORDAN_MARGIN, INTERLACING_MARGIN,
-                         MEMBERSHIP_TOL, PRODUCT_WEIGHT_FLOOR, SIGN_CERT_COND_LIMIT,
-                         SIGN_CERT_ROUNDING, SIGNABLE_TOL, SMALL_ANGLE)
+                         INVERSE_ROUNDING, MEMBERSHIP_TOL, PRODUCT_WEIGHT_FLOOR,
+                         SIGN_CERT_COND_LIMIT, SIGN_CERT_ROUNDING, SIGNABLE_TOL, SMALL_ANGLE)
 
 # Orthant enumeration is exact but exponential; beyond this many
 # coordinates the multistart path takes over.
 EXACT_ENUM_LIMIT = 16
 # Below this many coordinates building the realizable-support table costs
-# about as much as the full enumeration it would shorten.  One maximum,
-# full enumeration against the table route (2 cores, numpy 2.4.6): 0.17
-# against 0.33 ms at (n, r) = (4, 2), 0.46 against 0.63 ms at (6, 3);
-# from n = 7 the table wins at every r <= n/2, 0.55 against 0.50 ms at
-# (7, 3) and 1.3 against 1.1 ms at (8, 4).
+# more than the full enumeration it would shorten.  One maximum, full
+# enumeration against the table route, medians over 20 Gaussian bases (2
+# cores, numpy 2.4.6): 0.27 against 0.39 ms at (n, r) = (6, 2) and 0.29 against
+# 0.46 ms at (6, 3).  At n = 7 the table wins at r = 1 (0.50 against 0.28 ms),
+# ties at r = 2 (0.42 against 0.41 ms) and loses at r = 3 (0.36 against 0.46
+# ms); from n = 8 it wins at every r <= n/2, 1.08 against 0.74 ms at (8, 3) and
+# 1.10 against 0.96 ms at (8, 4).
 REALIZABLE_MIN_DIM = 7
 MULTISTART_COUNT = 64
 # The sign certificate's inverse iteration takes 2^this steps, by squaring the
@@ -80,12 +82,13 @@ MULTISTART_COUNT = 64
 # numpy 2.4.6), so more steps buy nothing.
 SIGN_CERT_SQUARINGS = 3
 # The sign certificate screens only batches of at least this many supports; a
-# smaller batch goes to eigh whole.  The certificate costs about 70 us per batch
-# plus a batched inverse, a quarter of eigh's time per matrix.  Timing each batch
-# of seed 1 orthant-ensemble chunks 0-29 and orthant-report ops 0-179 both ways
-# (best of 7, 2 cores, numpy 2.4.6), batches of 48-63 supports lost 18 us each
-# to the screen and batches of 128-191 gained 172 us; the summed time was flat
-# from 48 to 96 and least at 64, 437 against 791 ms unscreened.
+# smaller batch goes to eigh whole.  The certificate costs about 140 us per
+# batch, most of it one vectorized step per pivot of its inverse, plus about
+# 1.5 us per matrix, a quarter of eigh's 5.9 us.  Timing each batch of seed 1
+# orthant-ensemble chunks 0-29 and orthant-report ops 0-179 both ways (best of
+# 7, 2 cores, numpy 2.4.6), batches of 64-95 supports lost 37 us each to the
+# screen and batches of 96-127 gained 92 us; the summed time was flat from 64
+# to 96 (507 and 505 ms) against 1077 ms unscreened.
 SIGN_CERT_MIN_BATCH = 64
 
 
@@ -418,28 +421,53 @@ def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
     the KKT conditions (B^T B x)_i = lam x_i > 0 on it and <= 0 off it.
     These sets are the cells of the central arrangement {B^T y = 0}.  In
     general position each cell has a ray on r - 1 of the hyperplanes:
-    for each (r-1)-subset S of columns the ray is +-rho, the signed
-    cofactors of B_S, and the cells around it take the signs of B^T rho
-    off S and every sign on S.  Returns None when the arrangement is
-    not in general position within GENERAL_POSITION_TOL: a vanishing
-    cofactor ray, or a ray on another hyperplane.  A column b_i that
-    small is one of these: since r - 1 < n some S omits i, and
-    |(B^T rho)_i| <= ||b_i|| for its unit ray rho.
+    for each (r-1)-subset S of columns the ray is the null line of X_S =
+    B_S^T, and the cells around it take the signs of B^T rho off S and
+    every sign on S.  One batched _spd_inverse of the Gram matrices G =
+    X_S X_S^T gives each ray, read only up to sign and scale, as a column
+    of the projector I - X_S^T G^-1 X_S onto that line, and the length
+    sqrt(det G) of the signed cofactor ray (Cauchy-Binet).
+
+    Returns None when the arrangement is not in general position within
+    GENERAL_POSITION_TOL: a vanishing cofactor ray, or a ray on another
+    hyperplane.  A column b_i that small is one of these: since r - 1 < n
+    some S omits i, and |(B^T rho)_i| <= ||b_i|| for its unit ray rho.  A
+    sign is read only where the entry exceeds GENERAL_POSITION_TOL plus
+    the computed ray v's error bound: v = c rho + w with rho the unit
+    null vector, ||w|| <= ||X_S v|| / sigma_min(X_S), sigma_min^-2 <=
+    ||G^-1||_F (_inverse_norm_bound), so (B^T v)_i is within ||b_i|| ||w||
+    of c (B^T rho)_i; INVERSE_ROUNDING covers the rounding of these entries.
+    Where the bound fails, None too.
     """
     r, n = basis.shape
     norms = np.linalg.norm(basis, axis=0)
     subsets, _ = _support_table(n, r - 1)
-    minors = np.array([np.delete(np.arange(r), j) for j in range(r)], dtype=np.intp)
-    columns = basis.T[subsets]                        # (rays, r - 1, r)
-    rays = np.linalg.det(np.moveaxis(columns[:, :, minors], 2, 1)) * (-1.0) ** np.arange(r)
-    ray_norms = np.linalg.norm(rays, axis=1)
-    if np.any(ray_norms <= GENERAL_POSITION_TOL * np.prod(norms[subsets], axis=1)):
+    rows = basis.T[subsets]                           # X_S, (rays, r - 1, r)
+    # G = X_S X_S^T = (B^T B)[S, S], read off one n x n product.
+    gram = (basis.T @ basis)[subsets[:, :, None], subsets[:, None, :]]
+    inverse, det = _spd_inverse(gram)
+    column_norms = norms[subsets]
+    if not np.all(np.sqrt(det) > GENERAL_POSITION_TOL * np.prod(column_norms, axis=1)):
         return None
-    # B^T rho for unit rays; its off-S entries are the coordinates of x they give.
-    entries = (rays / ray_norms[:, None]) @ basis
+    # Each ray is the column of the null projector I - X_S^T G^-1 X_S with the
+    # largest diagonal entry 1 - x_j^T G^-1 x_j, x_j the columns of X_S.
+    rays_index = np.arange(len(subsets))
+    solved = inverse @ rows                           # G^-1 X_S
+    lead = np.argmin(np.einsum("baj,baj->bj", rows, solved), axis=1)
+    rays = -np.einsum("baj,ba->bj", rows, solved[rays_index, :, lead])
+    rays[rays_index, lead] += 1.0
+    rays /= np.sqrt(np.einsum("bi,bi->b", rays, rays))[:, None]
+    # B^T v for unit rays v; its off-S entries are the coordinates of x they give.
+    entries = rays @ basis
     off = np.ones(entries.shape, dtype=bool)
-    off[np.arange(len(subsets))[:, None], subsets] = False
-    if np.any(np.abs(entries[off]) <= GENERAL_POSITION_TOL):
+    off[rays_index[:, None], subsets] = False
+    trace = np.einsum("bi,bi->b", column_norms, column_norms)   # tr G = ||X_S||_F^2
+    # A bound on ||X_S v||, the on-S entries of B^T v.
+    on_entries = np.einsum("bij,bj->bi", rows, rays)
+    residual = (np.sqrt(np.einsum("bi,bi->b", on_entries, on_entries))
+                + INVERSE_ROUNDING * np.sqrt(trace))
+    drift = residual * np.sqrt(_inverse_norm_bound(gram, inverse, trace)) + INVERSE_ROUNDING
+    if not np.all((np.abs(entries) > GENERAL_POSITION_TOL + drift[:, None] * norms) | ~off):
         return None
     bits = np.int64(1) << np.arange(n)
     sign_choices = (np.arange(1 << (r - 1))[:, None] >> np.arange(r - 1)) & 1
@@ -448,6 +476,56 @@ def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
     for side in (entries > 0.0, entries < 0.0):
         table[((side & off) @ bits)[:, None] | on_s] = True
     return table
+
+
+def _spd_inverse(mats):
+    """(inverses, pivot products) of a (batch, k, k) stack of symmetric positive definite matrices.
+
+    Gauss-Jordan elimination without pivoting, run along the batch axis:
+    the stack is copied to a (k, k, batch) array, so each pivot is one
+    vectorized step over every matrix, and the input is left unchanged.
+    The pivots are those of the LDL^T factorization, all positive exactly
+    when the matrix is positive definite, and their product is its
+    determinant.  A pivot that is not positive makes that matrix's
+    inverse and product NaN, and no other's.  Nothing here bounds the
+    inverse's error; _inverse_norm_bound does, from its residual.
+    """
+    k = mats.shape[-1]
+    # copy(), not ascontiguousarray: a batch of one moves to a contiguous view.
+    work = mats.transpose(1, 2, 0).copy()
+    pivots = np.empty((k, len(mats)))
+    with np.errstate(all="ignore"):
+        for p in range(k):
+            pivots[p] = work[p, p]
+            col = work[:, p].copy()
+            col[p] = 0.0
+            work[:, p] = 0.0
+            work[p, p] = 1.0
+            work[p] /= pivots[p]
+            work -= col[:, None] * work[p]
+        det = np.prod(pivots, axis=0)
+        bad = ~np.all(pivots > 0.0, axis=0)
+        if bad.any():
+            work[:, :, bad] = np.nan
+            det[bad] = np.nan
+    return work.transpose(2, 0, 1).copy(), det
+
+
+def _inverse_norm_bound(mats, inverse, scale):
+    """An upper bound on ||K^-1||_F for each K of a stack, from its computed inverse X, or NaN.
+
+    K X = I - E gives K^-1 = X (I - E)^-1, so ||K^-1||_F <= ||X||_F / (1 - e)
+    for any e >= ||E||_F below 1.  e is the computed ||I - K X||_F plus
+    INVERSE_ROUNDING times ``scale`` ||X||_F, ``scale`` a bound on ||K||_F
+    (see INVERSE_ROUNDING); NaN where e >= 1 or X is not finite.
+    """
+    with np.errstate(all="ignore"):
+        x_norm = np.sqrt(np.einsum("bij,bij->b", inverse, inverse))
+        k = mats.shape[-1]
+        residual = mats @ inverse                     # K X, then K X - I in place
+        residual.reshape(len(mats), k * k)[:, ::k + 1] -= 1.0
+        e = np.sqrt(np.einsum("bij,bij->b", residual, residual)) + INVERSE_ROUNDING * scale * x_norm
+        return np.where(e < 1.0, x_norm / (1.0 - e), np.nan)
 
 
 def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=None, cap=None):
@@ -580,50 +658,51 @@ def _sign_rejections(subs, maximize):
     would reject it too.  lower bounds lambda_min(K_F) from below
     wherever rejected is set.
 
-    2^SIGN_CERT_SQUARINGS steps of inverse iteration from the ones vector
-    give a unit x, its Rayleigh quotient theta >= lambda_1 and the
-    residual r = K x - theta x.  Since sum_i lambda_i^-2 = ||K^-1||_F^2
-    and theta^-2 <= lambda_1^-2, lambda_2 >= tau = (||K^-1||_F^2 -
-    theta^-2)^(-1/2).  With tau > theta the Davis-Kahan sin theta
-    theorem gives sin angle(x, u) <= ||r|| / (tau - theta) for the
-    lambda_1 eigenvector u, so ||u - x|| <= sqrt(2) times that for the
-    sign of u nearer x, and the Kato-Temple inequality gives lambda_1 >=
-    theta - ||r||^2 / (tau - theta).  SIGN_CERT_ROUNDING covers the
-    rounding: it inflates ||K^-1||_F^2 by itself times the condition
-    number, and ||r||, the gap and eigh's eigenvector error by itself
-    times nu, a bound on the norms of K_F and M_F.  Only K_F with
-    ||K_F||_F ||K_F^-1||_F <= SIGN_CERT_COND_LIMIT are trusted, and a
-    batch holding an exactly singular K_F rejects nothing.
+    One batched _spd_inverse gives X ~ K^-1, and _inverse_norm_bound a
+    bound beta >= ||K^-1||_F from its residual.  2^SIGN_CERT_SQUARINGS
+    steps of inverse iteration with X from the ones vector give a unit x,
+    its Rayleigh quotient theta >= lambda_1 and the residual r = K x -
+    theta x.  Since sum_i lambda_i^-2 = ||K^-1||_F^2 <= beta^2 and theta^-2
+    <= lambda_1^-2, lambda_2 >= tau = (beta^2 - theta^-2)^(-1/2).  With
+    tau > theta the Davis-Kahan sin theta theorem gives sin angle(x, u)
+    <= ||r|| / (tau - theta) for the lambda_1 eigenvector u, so ||u - x||
+    <= sqrt(2) times that for the sign of u nearer x, and the
+    Kato-Temple inequality gives lambda_1 >= theta - ||r||^2 / (tau -
+    theta).  The inverse's error enters only through beta, so x needs no
+    accuracy; SIGN_CERT_ROUNDING covers the rest of the rounding: ||r||,
+    the gap and eigh's eigenvector error each move by itself times nu, a
+    bound on the norms of K_F and M_F.  Only K_F with ||K_F||_F beta <=
+    SIGN_CERT_COND_LIMIT are trusted.  A K_F with a pivot that is not
+    positive, singular or indefinite, has a NaN inverse and is not
+    rejected; the rest of the batch is still screened.
     """
     k_mats = np.eye(subs.shape[-1]) - subs if maximize else subs
-    try:
-        inverse = np.linalg.inv(k_mats)
-    except np.linalg.LinAlgError:
-        return np.zeros(len(k_mats), dtype=bool), np.zeros(len(k_mats))
+    inverse, _ = _spd_inverse(k_mats)
     with np.errstate(all="ignore"):
-        inverse_f2 = np.einsum("bij,bij->b", inverse, inverse)
         k_norm = np.sqrt(np.einsum("bij,bij->b", k_mats, k_mats))
+        beta = _inverse_norm_bound(k_mats, inverse, k_norm)
         # K^-(2^s) 1 by s squarings of the scaled inverse, in two buffers.
         power, spare = inverse, np.empty_like(inverse)
-        power /= np.sqrt(inverse_f2)[:, None, None]
+        power /= beta[:, None, None]
         for _ in range(SIGN_CERT_SQUARINGS):
             power, spare = np.matmul(power, power, out=spare), power
-        x = power @ np.ones(k_mats.shape[-1])
-        x /= np.sqrt(np.einsum("bi,bi->b", x, x))[:, None]
-        kx = np.einsum("bij,bj->bi", k_mats, x)
-        theta = np.einsum("bi,bi->b", x, kx)
-        r = kx - theta[:, None] * x
-        residual = np.sqrt(np.einsum("bi,bi->b", r, r))
-        condition = k_norm * np.sqrt(inverse_f2)
+        # x and the vectors below are (k, batch): reductions over the long axis are faster.
+        x = np.einsum("bij->ib", power)
+        x /= np.sqrt(np.einsum("ib,ib->b", x, x))
+        kx = np.einsum("bij,jb->ib", k_mats, x)
+        theta = np.einsum("ib,ib->b", x, kx)
+        r = kx - theta * x
+        residual = np.sqrt(np.einsum("ib,ib->b", r, r))
+        condition = k_norm * beta
         # SIGN_CERT_ROUNDING times nu; a maximum's M_F = P_F has ||P_F|| <= 1.
         round_off = SIGN_CERT_ROUNDING * (np.maximum(k_norm, 1.0) if maximize else k_norm)
-        rest = inverse_f2 * (1.0 + SIGN_CERT_ROUNDING * condition) - theta ** -2.0
+        rest = beta ** 2 - theta ** -2.0
         gap = rest ** -0.5 - theta - round_off
         # One round_off for the rounding of r, one for eigh's eigenvector error times the gap.
         residual += 2.0 * round_off
         slack = SIGNABLE_TOL + np.sqrt(2.0) * residual / gap
         rejected = ((condition <= SIGN_CERT_COND_LIMIT) & (theta > 0.0) & (rest > 0.0)
-                    & (gap > 0.0) & (x.min(axis=1) < -slack) & (x.max(axis=1) > slack))
+                    & (gap > 0.0) & (x.min(axis=0) < -slack) & (x.max(axis=0) > slack))
         lower = theta - residual ** 2 / gap - round_off
     return rejected, lower
 

@@ -41,21 +41,31 @@ INTERLACING_MARGIN = 1e-12
 # defect is a few eps for the bases polar_decompose and complement build): the exact P y - y
 # then lies in the cone's interior, and Gordan's alternative needs nothing more.
 GORDAN_MARGIN = 1e-6
+# The batched inverse X of a positive definite K (cones._spd_inverse) is trusted only through
+# its residual: K X = I - E gives K^-1 = X (I - E)^-1, so ||K^-1||_F <= ||X||_F / (1 - e) for
+# any e >= ||E||_F below 1.  e is the computed ||I - K X||_F plus this times nu ||X||_F, nu
+# ||K||_F, or tr K where K = F F^T is formed from a factor: about 450 eps, above the k eps
+# |K| |X| rounding of the residual and the k eps |F| |F^T| rounding of such a K (k <= 16).
+# The realizable table also allows this times ||b|| for the k eps rounding of each product
+# b^T v it reads off a computed unit ray v.
+INVERSE_ROUNDING = 1e-13
 # The sign certificate (cones._sign_rejections) proves from a batched inverse of a positive
 # definite K that the lambda_min eigenvector of K has entries of both signs beyond
-# SIGNABLE_TOL, so eigh would reject its support.  It trusts K only when ||K||_F ||K^-1||_F
-# is at most this: the computed inverse then errs by at most SIGN_CERT_ROUNDING times that,
-# 1e-5 relative, small enough for the first-order rounding bounds below to hold.  Worse
+# SIGNABLE_TOL, so eigh would reject its support.  It trusts K only when ||K||_F ||X||_F, X
+# the computed inverse, is at most this: there the rounding part of the residual bound
+# (INVERSE_ROUNDING) stays below 1e-5, so the bound on ||K^-1||_F stays tight.  Worse
 # conditioned supports go to eigh.
 SIGN_CERT_COND_LIMIT = 1e8
 # Rounding budget of the sign certificate, about 450 eps: above the p(n) eps (n <= 16) of
-# each error it covers.  ||K^-1||_F^2 is inflated by this times the condition number (an LU
-# inverse errs by about n eps kappa relative); the residual ||K x - theta x||, the Rayleigh
-# quotient theta and the gap each move by this times ||K||; and eigh's eigenvector errs by at
-# most this times ||K|| over the gap (LAPACK's p(n) eps ||K|| / gap).  At any gap where the
-# certificate can reject, the margin this adds is far below the sign entries it compares.
+# each error it covers.  The residual ||K x - theta x||, the Rayleigh quotient theta and the
+# gap each move by this times ||K||; and eigh's eigenvector errs by at most this times ||K||
+# over the gap (LAPACK's p(n) eps ||K|| / gap).  At any gap where the certificate can reject,
+# the margin this adds is far below the sign entries it compares.  The inverse needs none of
+# it: its error enters only through the residual bound of INVERSE_ROUNDING.
 SIGN_CERT_ROUNDING = 1e-13
-# Relative cofactor rays or off-ray entries of B^T rho this small void general position.
+# A ray rho of the realizable table (cones._realizable_supports) with ||rho|| this small
+# relative to its columns, or an off-ray entry of B^T rho within this plus the ray's error
+# bound of zero, voids general position.
 GENERAL_POSITION_TOL = 1e-6
 # Product cone sampling weights each factor at least this, so no sample drops a block.
 PRODUCT_WEIGHT_FLOOR = 1e-12

@@ -10,7 +10,8 @@ import numpy as np
 import coniccond.cones
 from coniccond import Negated, Orthant, Product, polar_decompose, subspace_from_rowspan
 from coniccond.harness import gaussian_matrix, trial_stream
-from coniccond.tolerances import CAP_BOUNDARY_TOL, CAP_TIE_TOL, CENTER_NORM_FLOOR, SIGNABLE_TOL
+from coniccond.tolerances import (CAP_BOUNDARY_TOL, CAP_TIE_TOL, CENTER_NORM_FLOOR,
+                                  GENERAL_POSITION_TOL, SIGNABLE_TOL)
 
 
 def stream(seed, index=0):
@@ -124,6 +125,39 @@ def full_orthant_extremum(m_mat, maximize=False, max_size=None):
 def full_orthant_minimum(m_mat, max_size=None):
     """min y^T M y over unit y >= 0 and its witness, by full_orthant_extremum."""
     return full_orthant_extremum(m_mat, False, max_size)
+
+
+def reference_realizable_supports(basis):
+    """The realizable table of ``cones._realizable_supports``, built from cofactor rays.
+
+    The reference for the library's table: for each (r-1)-subset S of
+    columns the ray rho is the vector of signed cofactors of B_S, one
+    np.linalg.det per coordinate, and the cells around it take the signs
+    of B^T rho off S and every sign on S.  None when a ray is shorter than
+    GENERAL_POSITION_TOL times the product of its column norms, or an
+    off-S entry of B^T rho / ||rho|| is at most GENERAL_POSITION_TOL.
+    """
+    r, n = basis.shape
+    norms = np.linalg.norm(basis, axis=0)
+    subsets = np.array(list(itertools.combinations(range(n), r - 1)), dtype=np.intp)
+    minors = np.array([np.delete(np.arange(r), j) for j in range(r)], dtype=np.intp)
+    columns = basis.T[subsets]                        # (rays, r - 1, r)
+    rays = np.linalg.det(np.moveaxis(columns[:, :, minors], 2, 1)) * (-1.0) ** np.arange(r)
+    ray_norms = np.linalg.norm(rays, axis=1)
+    if np.any(ray_norms <= GENERAL_POSITION_TOL * np.prod(norms[subsets], axis=1)):
+        return None
+    entries = (rays / ray_norms[:, None]) @ basis
+    off = np.ones(entries.shape, dtype=bool)
+    off[np.arange(len(subsets))[:, None], subsets] = False
+    if np.any(np.abs(entries[off]) <= GENERAL_POSITION_TOL):
+        return None
+    bits = np.int64(1) << np.arange(n)
+    sign_choices = (np.arange(1 << (r - 1))[:, None] >> np.arange(r - 1)) & 1
+    on_s = (np.int64(1) << subsets) @ sign_choices.T  # (rays, 2^(r-1)) masks within S
+    table = np.zeros(1 << n, dtype=bool)
+    for side in (entries > 0.0, entries < 0.0):
+        table[((side & off) @ bits)[:, None] | on_s] = True
+    return table
 
 
 def reference_cap(points):

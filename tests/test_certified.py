@@ -28,7 +28,7 @@ from coniccond import (
     subspace_from_rowspan,
 )
 from coniccond.cones import (ANGLE_THRESHOLD, GORDAN_MARGIN, _angle_of_cos2,
-                             _enumerate_orthant_extremum, _sign_rejections,
+                             _enumerate_orthant_extremum, _sign_rejections, _spd_inverse,
                              extremize_quadratic_over_cone, primal_dual_angles)
 from conftest import (full_orthant_extremum, orthant_like, random_matrix, random_orthogonal,
                       reference_decisions, stream)
@@ -319,6 +319,39 @@ class TestSignCertificate:
         subs = np.array([np.diag([1.0, -0.5, 2.0]), np.zeros((3, 3))])
         rejected, _ = _sign_rejections(subs, False)
         assert not rejected.any()
+
+    @pytest.mark.parametrize("bad", ["indefinite", "singular"])
+    def test_singular_member_voids_only_itself(self, bad):
+        # The size-6 supports of a 9 x 12 Gaussian A, one of them replaced.
+        a = random_matrix(stream(18), 9, 12)
+        supports = np.array(list(itertools.combinations(range(12), 6)))
+        subs = (a.T @ a)[supports[:, :, None], supports[:, None, :]]
+        rejected, lower = _sign_rejections(subs, False)
+        member = int(np.flatnonzero(rejected)[0])
+        spoiled = subs.copy()
+        spoiled[member] = np.diag([1.0, -0.5, 2.0, 1.0, 1.0, 1.0]) if bad == "indefinite" else 0.0
+        spoiled_rejected, spoiled_lower = _sign_rejections(spoiled, False)
+        others = np.arange(len(subs)) != member
+        assert not spoiled_rejected[member]
+        assert np.array_equal(spoiled_rejected[others], rejected[others])
+        assert np.array_equal(spoiled_lower[others], lower[others])
+        assert rejected[others].sum() >= 0.5 * len(subs)
+
+    @pytest.mark.parametrize("count", [1, 65])
+    def test_kernel_leaves_its_input_unchanged(self, count):
+        a = np.random.default_rng(count).standard_normal((count, 9, 7))
+        subs = np.swapaxes(a, 1, 2) @ a
+        before = subs.copy()
+        for maximize, batch in ((False, subs), (True, subs / 100.0)):
+            kept = batch.copy()
+            _sign_rejections(batch, maximize)
+            assert np.array_equal(batch, kept)
+        # The kernel works with the batch last; for a batch of one that
+        # layout is a contiguous view of the caller's array.
+        inverse, det = _spd_inverse(subs)
+        assert np.array_equal(subs, before)
+        assert np.allclose(inverse, np.linalg.inv(subs), rtol=1e-9, atol=0.0)
+        assert np.allclose(det, np.linalg.det(subs), rtol=1e-9, atol=0.0)
 
 
 class TestSignCertificateSweep:

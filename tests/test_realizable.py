@@ -12,7 +12,8 @@ from coniccond.cones import (REALIZABLE_MIN_DIM, _angle_of_cos2, _enumerate_orth
                              _realizable_supports, extremize_quadratic_over_cone)
 from coniccond.grassmann import complement
 from coniccond.tolerances import GORDAN_MARGIN
-from conftest import count_decided, full_orthant_minimum, orthant_like
+from conftest import (count_decided, full_orthant_minimum, orthant_like,
+                      reference_realizable_supports)
 
 
 def _row_basis(a):
@@ -93,6 +94,23 @@ class TestRealizableRoute:
         assert angle.method == "exact"
         assert angle.angle == _angle_of_cos2(full.value)
         assert np.array_equal(angle.witness, full.point)
+
+
+class TestTableOracle:
+    def test_table_is_the_cofactor_reference_on_gaussian_bases(self):
+        # 2000 fixed-seed Gaussian bases, n = 7..12 and 2 <= r <= n/2: the rays
+        # from the batched inverse mark the same cells as the signed cofactors.
+        rng = np.random.default_rng(20)
+        shapes = set()
+        for _ in range(2000):
+            n = int(rng.integers(7, 13))
+            r = int(rng.integers(2, n // 2 + 1))
+            basis = _row_basis(rng.standard_normal((r, n)))
+            table, reference = _realizable_supports(basis), reference_realizable_supports(basis)
+            assert reference is not None
+            assert table is not None and np.array_equal(table, reference), (n, r)
+            shapes.add((n, r))
+        assert len(shapes) == sum(n // 2 - 1 for n in range(7, 13))
 
 
 class TestCellCount:
@@ -208,6 +226,7 @@ class TestFullRouteFallback:
             a[0] = [1.0, 0.5, 2.0, 0.0, 0.0, 1.5, 0.0, 0.3, 0.0, 1.0]
         basis = _row_basis(a)
         assert _realizable_supports(basis) is None
+        assert reference_realizable_supports(basis) is None
         decided = self._decided(monkeypatch, basis.T @ basis, Orthant(10), True,
                                 _factor=basis)
         if degeneracy == "boundary point":
