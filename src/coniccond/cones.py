@@ -38,15 +38,13 @@ table shows it.  When that side is exact, Gordan's alternative can show
 from its witness that the other subspace meets the interior of the other
 cone (_gordan_zero); that angle is then exactly 0 and is not solved.
 
-The batched kernels of the exact enumeration (the M[F, F] gather,
-_spd_inverse, _inverse_norm_bound, _sign_rejections and
-_realizable_supports) keep their large temporaries in a workspace
-(_Workspace): flat buffers that grow to the largest batch requested and
-never shrink, so calls reuse them instead of making the allocator grow
-and trim the heap each time.  Each thread running a kernel holds its own
-workspace, lent from a shared pool (_Workspaces).  Results are always
-fresh arrays: no view of a buffer is returned to a caller outside the
-kernels or stored.
+A sign-orthant of more than EXACT_ENUM_LIMIT coordinates raises
+DimensionError: no route here solves it exactly.
+
+The batched kernels of the exact enumeration allocate fresh temporaries
+on every call.  One block, allocated and freed at import, sets glibc's
+thresholds so that the heap holds those temporaries and stays in place
+between calls (see the comment at the block).
 """
 
 from __future__ import annotations
@@ -55,8 +53,6 @@ import abc
 import enum
 import functools
 import itertools
-import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,17 +69,31 @@ from .tolerances import (ANGLE_THRESHOLD, ASCENT_MAX_STEPS, ASCENT_MIN_GAIN, ASC
                          INVERSE_ROUNDING, MEMBERSHIP_TOL, PRODUCT_WEIGHT_FLOOR,
                          SIGN_CERT_COND_LIMIT, SIGN_CERT_ROUNDING, SIGNABLE_TOL, SMALL_ANGLE)
 
-# Orthant enumeration is exact but exponential; beyond this many
-# coordinates the multistart path takes over.
+# glibc maps a block above its mmap threshold (128 KiB by default), unmaps it
+# when freed, and trims the heap top once more than its trim threshold is free.
+# Freeing a mapped block of up to 32 MiB (DEFAULT_MMAP_THRESHOLD_MAX on 64-bit)
+# raises the mmap threshold to its size and the trim threshold to twice that
+# (mallopt(3), M_MMAP_THRESHOLD).  This untouched 30 MiB block does so at
+# import, so the batched kernels' temporaries come from a heap that stays in
+# place.  Over three n = 16 analyses after three warm-up ones, 4 and 16 MiB
+# blocks left 12 861 and 7 309 minor page faults (the heap top still passed the
+# trim threshold); 30 MiB left 0.  Under another allocator, or where the
+# process sets M_TRIM_THRESHOLD, M_TOP_PAD, M_MMAP_THRESHOLD or M_MMAP_MAX (by
+# mallopt or a MALLOC_*_ variable), it changes nothing.
+np.empty(30 << 17)
+
+# Orthant enumeration is exact but exponential; past this many coordinates a
+# sign-orthant raises DimensionError.
 EXACT_ENUM_LIMIT = 16
 # Below this many coordinates building the realizable-support table costs
 # more than the full enumeration it would shorten.  One maximum, full
-# enumeration against the table route, medians over 20 Gaussian bases (2
-# cores, numpy 2.4.6): 0.27 against 0.39 ms at (n, r) = (6, 2) and 0.29 against
-# 0.46 ms at (6, 3).  At n = 7 the table wins at r = 1 (0.50 against 0.28 ms),
-# ties at r = 2 (0.42 against 0.41 ms) and loses at r = 3 (0.36 against 0.46
-# ms); from n = 8 it wins at every r <= n/2, 1.08 against 0.74 ms at (8, 3) and
-# 1.10 against 0.96 ms at (8, 4).
+# enumeration against the table route, medians over 20 Gaussian bases of the
+# best of 15 calls (2 cores, numpy 2.4.6): at n = 6 the table wins only at r = 1
+# (0.56 against 0.43 ms) and loses at r = 2 (0.46 against 0.61 ms) and r = 3
+# (0.34 against 0.59 ms).  At n = 7 it wins at r = 1 (0.90 against 0.43 ms) and
+# r = 2 (0.77 against 0.62 ms) and loses at r = 3 (0.64 against 0.78 ms); at
+# n = 8 it wins at every r <= n/2, 1.38 against 0.94 ms at r = 3 and 2.05
+# against 1.72 ms at r = 4.
 REALIZABLE_MIN_DIM = 7
 MULTISTART_COUNT = 64
 # The sign certificate's inverse iteration takes 2^this steps, by squaring the
@@ -94,13 +104,13 @@ MULTISTART_COUNT = 64
 # numpy 2.4.6), so more steps buy nothing.
 SIGN_CERT_SQUARINGS = 3
 # The sign certificate screens only batches of at least this many supports; a
-# smaller batch goes to eigh whole.  The certificate costs about 140 us per
-# batch, most of it one vectorized step per pivot of its inverse, plus about
-# 1.5 us per matrix, a quarter of eigh's 5.9 us.  Timing each batch of seed 1
-# orthant-ensemble chunks 0-29 and orthant-report ops 0-179 both ways (best of
-# 7, 2 cores, numpy 2.4.6), batches of 64-95 supports lost 37 us each to the
-# screen and batches of 96-127 gained 92 us; the summed time was flat from 64
-# to 96 (507 and 505 ms) against 1077 ms unscreened.
+# smaller batch goes to eigh whole.  The certificate costs about 220 us per
+# batch, most of it one vectorized step per pivot of its inverse, plus 1.0-1.6
+# us per matrix of 4 to 6 rows, a fifth of eigh's 4.8-8.7 us.  Timing each
+# batch of seed 1 orthant-ensemble chunks 0-29 and orthant-report ops 0-179
+# both ways (best of 7, 2 cores, numpy 2.4.6), batches of 64-95 supports lost
+# 15 us each to the screen and batches of 96-127 gained 109 us; the summed time
+# was flat from 64 to 96 (513.7 and 513.1 ms) against 1240.7 ms unscreened.
 SIGN_CERT_MIN_BATCH = 64
 
 
@@ -417,87 +427,6 @@ def _angle_of_cos2(lam: float) -> float:
     return float(np.arctan2(np.sqrt(1.0 - lam), np.sqrt(lam)))
 
 
-class _Workspace:
-    """Scratch buffers for the batched kernels of the exact enumeration.
-
-    Each named slot is a flat buffer of bytes that grows to the largest
-    request and never shrinks.  A kernel takes a slot only while no
-    caller up its stack still reads it, so the few slots serve in turn,
-    which keeps the workspace small and its memory recently written:
-
-    * "gather": the M[F, F] stack of _principal_submatrices, and the
-      table's cell masks;
-    * "work": the elimination of _spd_inverse, and once that has returned
-      the residual of _inverse_norm_bound, the spare of the certificate's
-      squarings and the table's G^-1 X_S and sign choices; before it, the
-      gather's index;
-    * "update": the elimination's rank-one update, and the inverse that
-      _spd_inverse's callers take back in it;
-    * "operand": the certificate's I - M_F, or the table's X_S;
-    * "rays" and "entries": the table's rays, then its bounds, and B^T v;
-    * "column" and "pivots": the elimination's (k, batch) rows.
-    """
-
-    def __init__(self):
-        self.buffers = {}
-
-    def take(self, slot: str, shape, dtype=np.dtype(np.float64)) -> np.ndarray:
-        """A writable (uninitialized) array of ``shape`` and the np.dtype ``dtype`` in ``slot``."""
-        size = math.prod(shape) * dtype.itemsize
-        buffer = self.buffers.get(slot)
-        if buffer is None or buffer.size < size:
-            buffer = self.buffers[slot] = np.empty(size, np.uint8)
-        return buffer[:size].view(dtype).reshape(shape)
-
-
-class _Workspaces(threading.local):
-    """The workspace of the kernel call running on this thread, lent from a shared pool.
-
-    The outermost kernel call on a thread (see _in_workspace) takes a
-    workspace from the pool, or a new one when none is free, and gives it
-    back when it returns; the calls nested in it use the same one.  So
-    there are only as many workspaces as threads that ran kernels at the
-    same time, and a pool thread's workspace outlives it for the next.
-    """
-
-    pool: list = []
-    lock = threading.Lock()
-
-    def __init__(self):
-        self.held = None
-        self.depth = 0
-
-    def __enter__(self) -> _Workspace:
-        if not self.depth:
-            with self.lock:
-                self.held = self.pool.pop() if self.pool else _Workspace()
-        self.depth += 1
-        return self.held
-
-    def __exit__(self, *exc):
-        self.depth -= 1
-        if not self.depth:
-            with self.lock:
-                self.pool.append(self.held)
-            self.held = None
-
-    def take(self, slot: str, shape, dtype=np.dtype(np.float64)) -> np.ndarray:
-        """_Workspace.take on the workspace this thread holds."""
-        return self.held.take(slot, shape, dtype)
-
-
-_SCRATCH = _Workspaces()
-
-
-def _in_workspace(kernel):
-    """Run ``kernel`` holding this thread's workspace (_Workspaces)."""
-    @functools.wraps(kernel)
-    def held(*args, **kwargs):
-        with _SCRATCH:
-            return kernel(*args, **kwargs)
-    return held
-
-
 @functools.lru_cache(maxsize=None)
 def _support_table(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     """The supports of one size in lexicographic order, and their bitmasks (read-only)."""
@@ -507,39 +436,6 @@ def _support_table(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
     return combos, masks
 
 
-def _principal_submatrices(sym, combos):
-    """The stack of sym[F, F] over the supports F in ``combos``, in the "gather" slot.
-
-    Called only by kernels, which hold the workspace while they read it.
-    """
-    count, size = combos.shape
-    index = np.add((combos * len(sym))[:, :, None], combos[:, None, :],
-                   out=_SCRATCH.take("work", (count, size, size), np.dtype(np.intp)))
-    # Every index is in range; mode="clip" only keeps take from buffering its output.
-    return sym.take(index, out=_SCRATCH.take("gather", index.shape), mode="clip")
-
-
-@functools.lru_cache(maxsize=None)
-def _ray_layout(n: int, r: int):
-    """The index tables of the realizable table of r x n bases, fixed by (n, r) (read-only).
-
-    For the (r-1)-subsets S of columns, in order: ``floor``,
-    GENERAL_POSITION_TOL off S and -inf on S; ``on``, 1.0 on S and 0.0
-    off it; ``flips``, 0 and the bitmask of the columns off S, which
-    xored onto a ray's positive set give those of the ray and of its
-    negation; and the bit of each column.
-    """
-    subsets, masks = _support_table(n, r - 1)
-    on = np.zeros((len(subsets), n))
-    on[np.arange(len(subsets))[:, None], subsets] = 1.0
-    layout = (np.where(on > 0.0, -np.inf, GENERAL_POSITION_TOL), on,
-              np.outer(((np.int64(1) << n) - 1) ^ masks, [0, 1]), np.int64(1) << np.arange(n))
-    for table in layout:
-        table.flags.writeable = False
-    return layout
-
-
-@_in_workspace
 def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
     """Table over support bitmasks: True for the positive sets of B^T y, y in R^r.
 
@@ -566,58 +462,45 @@ def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
     Where the bound fails, None too.
     """
     r, n = basis.shape
+    norms = np.linalg.norm(basis, axis=0)
     subsets, _ = _support_table(n, r - 1)
-    floor, on, flips, bits = _ray_layout(n, r)
-    count = len(subsets)
-    # X_S (mode="clip" as in _principal_submatrices), and G = X_S X_S^T = (B^T B)[S, S],
-    # whose diagonal holds the squared column norms.
-    rows = basis.T.take(subsets, axis=0, out=_SCRATCH.take("operand", (count, r - 1, r)), mode="clip")
-    product = basis.T @ basis
-    gram = _principal_submatrices(product, subsets)
-    inverse, det = _spd_inverse(gram, out=_SCRATCH.take("update", gram.shape))
-    squares = np.diagonal(gram, axis1=1, axis2=2)
-    if not np.all(det > GENERAL_POSITION_TOL ** 2 * np.prod(squares, axis=1)):
+    rows = basis.T[subsets]                           # X_S, (rays, r - 1, r)
+    # G = X_S X_S^T = (B^T B)[S, S], read off one n x n product.
+    gram = (basis.T @ basis)[subsets[:, :, None], subsets[:, None, :]]
+    inverse, det = _spd_inverse(gram)
+    column_norms = norms[subsets]
+    if not np.all(np.sqrt(det) > GENERAL_POSITION_TOL * np.prod(column_norms, axis=1)):
         return None
     # Each ray is the column of the null projector I - X_S^T G^-1 X_S with the
     # largest diagonal entry 1 - x_j^T G^-1 x_j, x_j the columns of X_S.
-    solved = np.matmul(inverse, rows, out=_SCRATCH.take("work", rows.shape))  # G^-1 X_S
+    rays_index = np.arange(len(subsets))
+    solved = inverse @ rows                           # G^-1 X_S
     lead = np.argmin(np.einsum("baj,baj->bj", rows, solved), axis=1)
-    rays_index = np.arange(count)
-    rays = np.einsum("baj,ba->bj", rows, solved[rays_index, :, lead],
-                     out=_SCRATCH.take("rays", (count, r)))
-    np.negative(rays, out=rays)
+    rays = -np.einsum("baj,ba->bj", rows, solved[rays_index, :, lead])
     rays[rays_index, lead] += 1.0
     rays /= np.sqrt(np.einsum("bi,bi->b", rays, rays))[:, None]
-    # B^T v for the unit rays v, all entries in one product: off S they are the
-    # coordinates of x the cells take, and on S they are X_S v, which bounds
-    # the ray's error.
-    entries = np.matmul(rays, basis, out=_SCRATCH.take("entries", (count, n)))
-    # The positive sets of each ray and its negation, read before |B^T v| overwrites them.
-    positive = ((entries > 0.0) @ bits)[:, None] ^ flips
-    trace = squares.sum(axis=1)                       # tr G = ||X_S||_F^2
-    spare = _SCRATCH.take("rays", (count, n))
-    residual = (np.sqrt(np.einsum("bi,bi->b", np.multiply(entries, on, out=spare), entries))
+    # B^T v for unit rays v; its off-S entries are the coordinates of x they give.
+    entries = rays @ basis
+    off = np.ones(entries.shape, dtype=bool)
+    off[rays_index[:, None], subsets] = False
+    trace = np.einsum("bi,bi->b", column_norms, column_norms)   # tr G = ||X_S||_F^2
+    # A bound on ||X_S v||, the on-S entries of B^T v.
+    on_entries = np.einsum("bij,bj->bi", rows, rays)
+    residual = (np.sqrt(np.einsum("bi,bi->b", on_entries, on_entries))
                 + INVERSE_ROUNDING * np.sqrt(trace))
     drift = residual * np.sqrt(_inverse_norm_bound(gram, inverse, trace)) + INVERSE_ROUNDING
-    # Each off-S entry must exceed GENERAL_POSITION_TOL plus its drift; floor passes the on-S ones.
-    threshold = np.multiply.outer(drift, np.sqrt(np.diagonal(product)), out=spare)
-    threshold += floor
-    if not np.all(np.abs(entries, out=entries) > threshold):
+    if not np.all((np.abs(entries) > GENERAL_POSITION_TOL + drift[:, None] * norms) | ~off):
         return None
-    # Those sets xored over every choice of signs on S, which also clears the
-    # ray's own bits there.
-    choices = 1 << (r - 1)
-    on_s = np.matmul(np.int64(1) << subsets, (np.arange(choices)[:, None] >> np.arange(r - 1)).T & 1,
-                     out=_SCRATCH.take("work", (count, choices), np.dtype(np.intp)))
-    cells = _SCRATCH.take("gather", (count, choices), np.dtype(np.intp))
+    bits = np.int64(1) << np.arange(n)
+    sign_choices = (np.arange(1 << (r - 1))[:, None] >> np.arange(r - 1)) & 1
+    on_s = (np.int64(1) << subsets) @ sign_choices.T  # (rays, 2^(r-1)) masks within S
     table = np.zeros(1 << n, dtype=bool)
-    for side in positive.T:                           # the rays, then their negations
-        table[np.bitwise_xor(side[:, None], on_s, out=cells)] = True
+    for side in (entries > 0.0, entries < 0.0):
+        table[((side & off) @ bits)[:, None] | on_s] = True
     return table
 
 
-@_in_workspace
-def _spd_inverse(mats, out):
+def _spd_inverse(mats):
     """(inverses, pivot products) of a (batch, k, k) stack of symmetric positive definite matrices.
 
     Gauss-Jordan elimination without pivoting, run along the batch axis:
@@ -627,36 +510,30 @@ def _spd_inverse(mats, out):
     when the matrix is positive definite, and their product is its
     determinant.  A pivot that is not positive makes that matrix's
     inverse and product NaN, and no other's.  Nothing here bounds the
-    inverse's error; _inverse_norm_bound does, from its residual.  The
-    inverses are written to ``out``, a (batch, k, k) array of the caller's,
-    after the last pivot, so ``out`` may be the "update" slot.
+    inverse's error; _inverse_norm_bound does, from its residual.  Both
+    results are fresh arrays.
     """
-    batch, k = len(mats), mats.shape[-1]
-    work = _SCRATCH.take("work", (k, k, batch))
-    work[...] = mats.transpose(1, 2, 0)
-    update = _SCRATCH.take("update", (k, k, batch))
-    column = _SCRATCH.take("column", (k, batch))
-    pivots = _SCRATCH.take("pivots", (k, batch))
-    unit = np.eye(k)[:, :, None]
+    k = mats.shape[-1]
+    # copy(), not ascontiguousarray: a batch of one moves to a contiguous view.
+    work = mats.transpose(1, 2, 0).copy()
+    pivots = np.empty((k, len(mats)))
     with np.errstate(all="ignore"):
         for p in range(k):
             pivots[p] = work[p, p]
-            column[...] = work[:, p]
-            column[p] = 0.0
-            work[:, p] = unit[p]                      # e_p
+            col = work[:, p].copy()
+            col[p] = 0.0
+            work[:, p] = 0.0
+            work[p, p] = 1.0
             work[p] /= pivots[p]
-            work -= np.multiply(column[:, None], work[p], out=update)
+            work -= col[:, None] * work[p]
         det = np.prod(pivots, axis=0)
-        positive = pivots > 0.0
-        if not positive.all():
-            bad = ~positive.all(axis=0)
+        bad = ~np.all(pivots > 0.0, axis=0)
+        if bad.any():
             work[:, :, bad] = np.nan
             det[bad] = np.nan
-    out[...] = work.transpose(2, 0, 1)
-    return out, det
+    return work.transpose(2, 0, 1).copy(), det
 
 
-@_in_workspace
 def _inverse_norm_bound(mats, inverse, scale):
     """An upper bound on ||K^-1||_F for each K of a stack, from its computed inverse X, or NaN.
 
@@ -668,14 +545,12 @@ def _inverse_norm_bound(mats, inverse, scale):
     with np.errstate(all="ignore"):
         x_norm = np.sqrt(np.einsum("bij,bij->b", inverse, inverse))
         k = mats.shape[-1]
-        # K X, then K X - I in place.
-        residual = np.matmul(mats, inverse, out=_SCRATCH.take("work", inverse.shape))
+        residual = mats @ inverse                     # K X, then K X - I in place
         residual.reshape(len(mats), k * k)[:, ::k + 1] -= 1.0
         e = np.sqrt(np.einsum("bij,bij->b", residual, residual)) + INVERSE_ROUNDING * scale * x_norm
         return np.where(e < 1.0, x_norm / (1.0 - e), np.nan)
 
 
-@_in_workspace
 def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=None, cap=None):
     """Exact extremum of y^T M y over unit y >= 0 by support enumeration.
 
@@ -754,7 +629,7 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
             combos, masks = combos[keep], masks[keep]
             if not len(combos):
                 continue
-            subs = _principal_submatrices(sym, combos)
+            subs = sym[combos[:, :, None], combos[:, None, :]]
             # lambda_min of K = M_F for a minimum, or a lower bound on it.
             lows = np.empty(len(combos))
             solved = np.ones(len(combos), dtype=bool)
@@ -795,7 +670,6 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
     return result
 
 
-@_in_workspace
 def _sign_rejections(subs, maximize):
     """(rejected, lower) over a batch of principal submatrices M_F, as eigh would see them.
 
@@ -825,15 +699,13 @@ def _sign_rejections(subs, maximize):
     positive, singular or indefinite, has a NaN inverse and is not
     rejected; the rest of the batch is still screened.
     """
-    k_mats = subs
-    if maximize:
-        k_mats = np.subtract(np.eye(subs.shape[-1]), subs, out=_SCRATCH.take("operand", subs.shape))
-    inverse, _ = _spd_inverse(k_mats, out=_SCRATCH.take("update", subs.shape))
+    k_mats = np.eye(subs.shape[-1]) - subs if maximize else subs
+    inverse, _ = _spd_inverse(k_mats)
     with np.errstate(all="ignore"):
         k_norm = np.sqrt(np.einsum("bij,bij->b", k_mats, k_mats))
         beta = _inverse_norm_bound(k_mats, inverse, k_norm)
         # K^-(2^s) 1 by s squarings of the scaled inverse, in two buffers.
-        power, spare = inverse, _SCRATCH.take("work", inverse.shape)
+        power, spare = inverse, np.empty_like(inverse)
         power /= beta[:, None, None]
         for _ in range(SIGN_CERT_SQUARINGS):
             power, spare = np.matmul(power, power, out=spare), power
@@ -962,8 +834,9 @@ def extremize_quadratic_over_cone(
     """Extremize x^T M x over the unit vectors of a cone.
 
     Exact support enumeration when the cone is sign-isomorphic to an
-    orthant (Cone.orthant_signs) of dimension <= EXACT_ENUM_LIMIT,
-    multistart otherwise.
+    orthant (Cone.orthant_signs), multistart for a cone without a sign
+    vector.  A sign-orthant of more than EXACT_ENUM_LIMIT coordinates
+    raises DimensionError.
     ``_factor`` is an F with M = F^T F (k rows): the matrix A for the
     dual-route minimum, or for a maximum a B with orthonormal rows, so
     that M is the projector onto W = row span of B.  A minimum then stops
@@ -977,7 +850,10 @@ def extremize_quadratic_over_cone(
     if m_mat.shape != (cone.dim, cone.dim):
         raise DimensionError(f"matrix shape {m_mat.shape} != cone dimension {cone.dim}")
     signs = cone.orthant_signs
-    if signs is not None and cone.dim <= EXACT_ENUM_LIMIT:
+    if signs is not None:
+        if cone.dim > EXACT_ENUM_LIMIT:
+            raise DimensionError(f"exact orthant enumeration is limited to EXACT_ENUM_LIMIT = "
+                                 f"{EXACT_ENUM_LIMIT} coordinates, got {cone.dim}")
         conj = signs[:, None] * m_mat * signs[None, :]
         cap = table = None
         if _factor is not None:

@@ -348,7 +348,7 @@ class TestSignCertificate:
             assert np.array_equal(batch, kept)
         # The kernel works with the batch last; for a batch of one that
         # layout is a contiguous view of the caller's array.
-        inverse, det = _spd_inverse(subs, np.empty_like(subs))
+        inverse, det = _spd_inverse(subs)
         assert np.array_equal(subs, before)
         assert np.allclose(inverse, np.linalg.inv(subs), rtol=1e-9, atol=0.0)
         assert np.allclose(det, np.linalg.det(subs), rtol=1e-9, atol=0.0)

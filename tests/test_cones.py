@@ -4,7 +4,6 @@ import math
 import numpy as np
 import pytest
 
-import coniccond.cones
 from coniccond import (
     ConeSpecError,
     DimensionError,
@@ -33,6 +32,14 @@ from coniccond.grassmann import angle_point_subspace
 from conftest import random_matrix, span, stream
 
 SQ2 = math.sqrt(2.0)
+
+
+class UnsignedOrthant(Orthant):
+    """The orthant without its sign vector: the cone multistart serves."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.orthant_signs = None
 
 
 class TestMembership:
@@ -217,24 +224,23 @@ class TestConeSubspaceAngle:
     def test_coordinate_plane(self):
         assert cone_subspace_angle(Orthant(3), span([1, 0, 0], [0, 1, 0])).angle <= 1e-7
 
-    def test_exact_vs_multistart(self, monkeypatch):
+    def test_exact_vs_multistart(self):
         rng = stream(44)
         for trial in range(15):
             n = 4 + trial % 7  # up to 10
             w = subspace_from_rowspan(random_matrix(rng, 2, n))
             exact = cone_subspace_angle(Orthant(n), w)
-            with monkeypatch.context() as patch:
-                patch.setattr(coniccond.cones, "EXACT_ENUM_LIMIT", 0)
-                multi = cone_subspace_angle(Orthant(n), w, seed=trial)
+            multi = cone_subspace_angle(UnsignedOrthant(n), w, seed=trial)
             assert math.cos(multi.angle) == pytest.approx(math.cos(exact.angle), abs=1e-6)
+            assert exact.method == "exact"
             assert multi.method == "multistart"
 
-    def test_multistart_deterministic(self, monkeypatch):
-        monkeypatch.setattr(coniccond.cones, "EXACT_ENUM_LIMIT", 0)
+    def test_multistart_deterministic(self):
         rng = stream(45)
         w = subspace_from_rowspan(random_matrix(rng, 2, 5))
-        first = cone_subspace_angle(Orthant(5), w, seed=9)
-        second = cone_subspace_angle(Orthant(5), w, seed=9)
+        first = cone_subspace_angle(UnsignedOrthant(5), w, seed=9)
+        second = cone_subspace_angle(UnsignedOrthant(5), w, seed=9)
+        assert first.method == "multistart"
         assert first.angle == second.angle
         np.testing.assert_array_equal(first.witness, second.witness)
 
@@ -284,9 +290,14 @@ class TestExtremumRoute:
         assert ext.method == "exact" and ext.value == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_array_equal(ext.point, [1.0, 0.0, 0.0, 0.0])
 
-    def test_orthant_past_enum_limit_takes_multistart(self):
-        ext = extremize_quadratic_over_cone(np.eye(17), Orthant(17), True)
-        assert ext.method == "multistart"
+    @pytest.mark.parametrize("cone", [Orthant(17), Negated(Orthant(17)),
+                                      Product([Orthant(9), Negated(Orthant(8))])],
+                             ids=lambda c: c.spec())
+    def test_orthant_past_enum_limit_raises(self, cone):
+        with pytest.raises(DimensionError, match="EXACT_ENUM_LIMIT = 16"):
+            extremize_quadratic_over_cone(np.eye(17), cone, True)
+        with pytest.raises(DimensionError, match="EXACT_ENUM_LIMIT = 16"):
+            condition_report(cone, random_matrix(stream(47), 10, 17))
 
 
 def brute_dual_angle_for_line_2d(theta_line, grid=200_000):

@@ -1,4 +1,4 @@
-"""The batched kernels' workspaces: one per running thread, reused across calls, never in a result."""
+"""The batched kernels on the heap: fresh results, the same bytes on any worker count, no churn."""
 
 import itertools
 import os
@@ -13,16 +13,17 @@ import pytest
 import coniccond
 import coniccond.cones
 from coniccond import ExperimentConfig, run_experiment
-from coniccond.cones import (_SCRATCH, _enumerate_orthant_extremum, _inverse_norm_bound,
-                             _realizable_supports, _sign_rejections, _spd_inverse)
+from coniccond.cones import (_enumerate_orthant_extremum, _inverse_norm_bound, _realizable_supports,
+                             _sign_rejections, _spd_inverse)
 from conftest import random_matrix, stream
 
 SRC = Path(coniccond.__file__).resolve().parents[1]
-# Minor page faults over 30 n = 12 chunks after 3 warm-up chunks, in a fresh
-# interpreter.  Measured with the probe below at its seeds and four other seed
-# sets: 24 to 363 with the workspaces, 23 063 to 31 075 when every call
-# allocated its temporaries afresh (glibc grew and trimmed the heap on each
-# call).  The bound is 100 per chunk.
+# Minor page faults of each probe below, in a fresh interpreter, after its
+# warm-up.  The block that cones.py allocates and frees at import keeps glibc
+# from trimming the heap after each kernel call.  With it the probes read
+# 110-112 (30 ensemble chunks, 1 worker), 428-483 (2 workers) and 0 (three
+# n = 16 analyses); with that line removed 22 662-24 959, 8 466-36 730 and
+# 11 616-14 269.  The bound is 100 per ensemble chunk.
 HEAP_FAULT_BOUND = 3000
 HEAP_PROBE = """
 import resource
@@ -33,6 +34,23 @@ for cfg in configs[:3]:
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for cfg in configs[3:]:
     run_experiment(cfg)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+# Three n = 16 analyses, each with the dual-route minimum where the instance is
+# dual strict, after three more at the same m: batches of up to 12 870 supports.
+LARGE_N_PROBE = """
+import resource
+from coniccond import Feasibility, Orthant, analyze, gaussian_matrix, trial_stream
+
+def analyses(seed):
+    for m in (4, 8, 12):
+        analysis = analyze(Orthant(16), None, a=gaussian_matrix(trial_stream(seed, m), m, 16))
+        if analysis.status.tag is Feasibility.DUAL_STRICT:
+            analysis.dual_minimum
+
+analyses(5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+analyses(6)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -49,14 +67,10 @@ def _orthonormal_rows(seed, r, n):
     return u @ vh
 
 
-def _pooled_buffers():
-    return [buffer for workspace in _SCRATCH.pool for buffer in workspace.buffers.values()]
-
-
 def _kernel_results(seed, n, size, r):
     """Every array the kernels return for one shape, each a separate entry."""
     subs = _gram_stack(seed, n - 2, n, size)
-    inverse, det = _spd_inverse(subs, np.empty_like(subs))
+    inverse, det = _spd_inverse(subs)
     bound = _inverse_norm_bound(subs, inverse, np.einsum("bii->b", subs))
     rejected, lower = _sign_rejections(subs, False)
     rejected_max, lower_max = _sign_rejections(subs / (2.0 * np.abs(subs).max()), True)
@@ -69,47 +83,31 @@ def _kernel_results(seed, n, size, r):
             np.array([value, low])]
 
 
+def _minor_faults(probe, **settings):
+    """The count ``probe`` prints, run in a fresh interpreter with ``settings`` in its environment.
+
+    The allocator is at its defaults: no MALLOC_* or GLIBC_TUNABLES setting of
+    the caller's reaches it, nor its CONIC_COND_THREADS.
+    """
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("MALLOC_") and key not in ("GLIBC_TUNABLES", "CONIC_COND_THREADS")}
+    env.update(settings, PYTHONPATH=str(SRC))
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True)
+    return int(run.stdout.split()[-1])
+
+
 class TestFreshResults:
     @pytest.mark.parametrize("first_shape, later_shape", [((12, 8, 5), (9, 4, 3)), ((9, 4, 3), (12, 8, 5))])
     def test_no_result_shares_memory_with_a_later_call(self, first_shape, later_shape):
         # Batches of 70 and 495 supports: both past the sign certificate's
-        # minimum batch.  The smaller call reuses the buffers the larger one
-        # grew, and the larger call grows the smaller one's.
+        # minimum batch, larger then smaller and smaller then larger.
         first = _kernel_results(7, *first_shape)
-        for result in first:
-            assert not any(np.shares_memory(result, buffer) for buffer in _pooled_buffers())
         kept = [result.copy() for result in first]
         later = _kernel_results(8, *later_shape)
         for result, copy in zip(first, kept):
             assert not any(np.shares_memory(result, other) for other in later)
             assert np.array_equal(result, copy, equal_nan=True)
-
-    def test_threads_running_at_once_hold_distinct_workspaces(self):
-        held, release, theirs = threading.Event(), threading.Event(), []
-
-        def worker():
-            with _SCRATCH as workspace:
-                _kernel_results(8, 12, 8, 5)
-                theirs.append(workspace)
-                held.set()
-                release.wait(timeout=60)
-
-        thread = threading.Thread(target=worker)
-        thread.start()
-        try:
-            assert held.wait(timeout=60)
-            with _SCRATCH as mine:
-                _kernel_results(7, 9, 4, 3)
-                assert mine is not theirs[0]
-                for buffer in mine.buffers.values():
-                    assert not any(np.shares_memory(buffer, other)
-                                   for other in theirs[0].buffers.values())
-        finally:
-            release.set()
-            thread.join(timeout=60)
-        assert not thread.is_alive()
-        # The pool thread's workspace outlives it, for the next thread to take.
-        assert any(workspace is theirs[0] for workspace in _SCRATCH.pool)
 
 
 class TestThreadsAtKernelScale:
@@ -152,13 +150,13 @@ class TestThreadsAtKernelScale:
 
 class TestHeapChurn:
     def test_ensemble_chunks_leave_the_heap_in_place(self):
-        # A fresh interpreter with the allocator at its defaults: no MALLOC_*
-        # or GLIBC_TUNABLES setting of the caller's reaches it.
-        env = {key: value for key, value in os.environ.items()
-               if not key.startswith("MALLOC_") and key != "GLIBC_TUNABLES"}
-        env["PYTHONPATH"] = str(SRC)
-        env.pop("CONIC_COND_THREADS", None)
-        probe = subprocess.run([sys.executable, "-c", HEAP_PROBE], env=env, capture_output=True,
-                               text=True, check=True)
-        faults = int(probe.stdout.split()[-1])
+        faults = _minor_faults(HEAP_PROBE)
+        assert 0 <= faults < HEAP_FAULT_BOUND
+
+    def test_ensemble_chunks_on_two_workers_leave_the_heap_in_place(self):
+        faults = _minor_faults(HEAP_PROBE, CONIC_COND_THREADS="2")
+        assert 0 <= faults < HEAP_FAULT_BOUND
+
+    def test_large_n_analyses_leave_the_heap_in_place(self):
+        faults = _minor_faults(LARGE_N_PROBE)
         assert 0 <= faults < HEAP_FAULT_BOUND
