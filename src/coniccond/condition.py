@@ -7,7 +7,8 @@ cone-subspace angles once; the conditions and the flip witness derive from it:
   to the set of subspaces touching C;
 * the Renegar condition of A: norm of A over its distance to the set of
   ill-posed matrices (exact where an exact route exists, a certified
-  interval otherwise);
+  interval otherwise, and heuristic wherever it reads a multistart
+  extremum);
 * minimal rank-one perturbations that force a chosen vector into the
   row span or kernel, or flip a dual feasible instance to primal.
 """
@@ -39,13 +40,15 @@ def json_number(x: float):
 
 @dataclass(frozen=True)
 class ConditionValue:
-    """A condition number, either an exact value or a certified interval.
+    """A condition number: an exact value, a certified interval or a heuristic one.
 
     Values live in [1, inf]; infinity marks ill-posed instances.
-    basis_of_claim names the route that justifies the number.
+    basis_of_claim names the route that justifies the number.  A
+    heuristic value reads a multistart extremum, which certifies
+    nothing; it carries lower and upper, equal for a point estimate.
     """
 
-    kind: str                    # "exact" | "interval"
+    kind: str                    # "exact" | "interval" | "heuristic"
     value: float | None = None
     lower: float | None = None
     upper: float | None = None
@@ -64,6 +67,12 @@ class ConditionValue:
         upper = max(float(upper), lower)
         return ConditionValue(kind="interval", lower=lower, upper=upper, basis_of_claim=basis)
 
+    def as_heuristic(self) -> "ConditionValue":
+        """The same bounds and basis, labelled "heuristic"."""
+        lower, upper = self.bounds()
+        return ConditionValue(kind="heuristic", lower=lower, upper=upper,
+                              basis_of_claim=self.basis_of_claim)
+
     @property
     def is_exact(self) -> bool:
         return self.kind == "exact"
@@ -79,7 +88,7 @@ class ConditionValue:
         if self.is_exact:
             return {"kind": "exact", "value": json_number(self.value), "basis": self.basis_of_claim}
         return {
-            "kind": "interval",
+            "kind": self.kind,
             "lower": json_number(self.lower),
             "upper": json_number(self.upper),
             "basis": self.basis_of_claim,
@@ -126,11 +135,16 @@ def _min_image_over_dual(cone: Cone, a: np.ndarray, seed: int):
 
 
 def _dual_route(spectral: float, minimum: tuple, prefix: str) -> ConditionValue:
-    """||A|| over the dual-route minimum; infinite when that minimum vanishes."""
+    """||A|| over the dual-route minimum; infinite when that minimum vanishes.
+
+    Heuristic when the minimum came from multistart.
+    """
     dist, _, method = minimum
     if dist <= ZERO_DISTANCE * max(1.0, spectral):
-        return ConditionValue.exact(math.inf, f"{prefix}ill-posed")
-    return ConditionValue.exact(spectral / dist, f"{prefix}dual-route-{method}")
+        value = ConditionValue.exact(math.inf, f"{prefix}ill-posed")
+    else:
+        value = ConditionValue.exact(spectral / dist, f"{prefix}dual-route-{method}")
+    return value.as_heuristic() if method == "multistart" else value
 
 
 @dataclass(eq=False)
@@ -188,17 +202,24 @@ class Analysis:
         return _min_image_over_dual(self.cone, self._matrix(), self.seed)
 
     def renegar(self) -> ConditionValue:
-        """Renegar condition of the full-rank matrix ``a``; see renegar_condition."""
+        """Renegar condition of the full-rank matrix ``a``; see renegar_condition.
+
+        Heuristic when either angle, which gives the status and C(W), or
+        the dual-route minimum came from multistart.
+        """
         if is_balanced(self._matrix()):
-            value = self.grassmann
-            return ConditionValue.exact(value.value, f"balanced:{value.basis_of_claim}")
-        status = self.status
-        if status.tag is Feasibility.DUAL_STRICT:
-            return _dual_route(float(self.singular_values[0]), self.dual_minimum, "")
-        if status.tag is Feasibility.PRIMAL_STRICT:
+            grassmann = self.grassmann
+            value = ConditionValue.exact(grassmann.value, f"balanced:{grassmann.basis_of_claim}")
+        elif self.status.tag is Feasibility.DUAL_STRICT:
+            value = _dual_route(float(self.singular_values[0]), self.dual_minimum, "")
+        elif self.status.tag is Feasibility.PRIMAL_STRICT:
             grassmann = self.grassmann.value
-            return ConditionValue.interval(grassmann, self.kappa * grassmann, "sandwich")
-        return ConditionValue.exact(math.inf, "ill-posed")
+            value = ConditionValue.interval(grassmann, self.kappa * grassmann, "sandwich")
+        else:
+            value = ConditionValue.exact(math.inf, "ill-posed")
+        if "multistart" in (self.primal.method, self.dual.method):
+            return value.as_heuristic()
+        return value
 
     def flip_witness(self) -> PerturbationWitness:
         """The perturbation of witness_flip_dual_to_primal for ``a``."""
@@ -267,7 +288,8 @@ def renegar_condition(cone: Cone, a, seed: int = 0) -> ConditionValue:
     of the row span), exact through the dual-route minimum for dual
     feasible instances (including rank deficient ones), and a certified
     interval [C(W), kappa(A) C(W)] for strictly primal feasible
-    nonbalanced matrices.
+    nonbalanced matrices.  Any of these is labelled "heuristic" instead
+    when an extremum it reads came from multistart (Analysis.renegar).
     """
     arr = require_matrix(a)
     m, n = arr.shape

@@ -30,8 +30,8 @@ the intersection of a cone with the unit sphere:
   support whose computed value is the extremum, so it attains the value
   returned with it;
 * for everything else (Lorentz cones and products involving them) a
-  multistart projected-gradient search returns its best converged run,
-  with no certificate.
+  multistart projected-gradient search returns its best run, converged
+  or not, with no certificate.
 
 primal_dual_angles solves the strict side first where the realizable
 table shows it.  When that side is exact, Gordan's alternative can show
@@ -57,12 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConeSpecError,
-    DimensionError,
-    InconsistentClassification,
-    NumericalFailure,
-)
+from .errors import ConeSpecError, DimensionError, InconsistentClassification
 from .grassmann import Subspace, angle_point_subspace, complement
 from .tolerances import (ANGLE_THRESHOLD, ASCENT_MAX_STEPS, ASCENT_MIN_GAIN, ASCENT_MIN_NORM,
                          ASCENT_MIN_STEP, GENERAL_POSITION_TOL, GORDAN_MARGIN, INTERLACING_MARGIN,
@@ -418,7 +413,7 @@ class QuadraticExtremum:
     value: float
     point: np.ndarray           # a point whose own value is value
     method: str                 # "exact" | "multistart"
-    converged_values: np.ndarray  # best first; single entry for exact
+    converged_values: np.ndarray  # converged runs' values, best first, possibly empty; exact: one
 
 
 def _angle_of_cos2(lam: float) -> float:
@@ -787,21 +782,21 @@ def _projected_extremize(m_mat, cone, x0, maximize):
 
 
 def _multistart_extremum(m_mat, cone, maximize, seed, count):
+    """The best of ``count`` projected-gradient runs, as (value, point, converged values).
+
+    Every run is ranked, converged or not: each iterate is a unit point of
+    the cone, so its value bounds the extremum from one side.  The last
+    entry holds the converged runs' values, best first, and may be empty.
+    """
     rays = cone.extreme_unit_rays(count // 2)
     starts = [ray for ray in rays]
     index = len(starts)
     while len(starts) < count:
         starts.append(cone.sample_units(_stream(seed, index), 1)[0])
         index += 1
-    results = []
-    for x0 in starts:
-        val, x, ok = _projected_extremize(m_mat, cone, x0, maximize)
-        if ok:
-            results.append((val, x))
-    if not results:
-        raise NumericalFailure("no multistart run converged")
+    results = [_projected_extremize(m_mat, cone, x0, maximize) for x0 in starts]
     results.sort(key=lambda r: -r[0] if maximize else r[0])
-    values = np.array([r[0] for r in results])
+    values = np.array([val for val, _, converged in results if converged])
     return results[0][0], results[0][1], values
 
 
@@ -873,7 +868,7 @@ class ConeAngleResult:
 
     method is "exact" (support enumeration, or the exact zero that
     Gordan's alternative gives a touching side) or "multistart" (the
-    best converged run, with no certificate).
+    best run, converged or not, with no certificate).
     """
 
     angle: float

@@ -71,7 +71,7 @@ GENERAL_POSITION_TOL = 1e-6
 PRODUCT_WEIGHT_FLOOR = 1e-12
 
 # --- Multistart projected gradient (cones.py) ---
-# A run that has not converged after this many steps is dropped.
+# A run stops after this many steps, converged or not; its last point is still ranked.
 ASCENT_MAX_STEPS = 500
 # A run has converged when its line search shrinks the step to this without improving.
 ASCENT_MIN_STEP = 1e-18

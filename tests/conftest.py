@@ -206,3 +206,43 @@ def reference_cap(points):
             best_boundary = boundary
     assert best_center is not None
     return best_center, best_radius, best_boundary
+
+
+STRUCTURED_KINDS = ("ternary", "bernoulli", "duplicated", "antiparallel", "zero_column",
+                    "ill_posed")
+# The factor of the copied column in the column kinds of structured_matrix.
+COLUMN_FACTORS = {"duplicated": 1.0, "antiparallel": -1.0, "zero_column": 0.0}
+
+
+def structured_matrix(rng, m, n, kind):
+    """An m x n matrix of rank m, with structure that Gaussian draws never have.
+
+    ``kind`` is one of STRUCTURED_KINDS:
+    * ternary: entries drawn from {-1, 0, 1};
+    * bernoulli: sparse 0/1 entries, each 1 with probability 0.3;
+    * duplicated, antiparallel, zero_column: a ternary matrix with one
+      column replaced by a copy of another, by its negation, or by zero;
+    * ill_posed: the row e_1 plus ternary rows that vanish at coordinate 1
+      and have a zero column or an antiparallel pair of columns.  Their
+      span misses the open orthant of the other coordinates, so W holds
+      e_1, a boundary point of the orthant, and misses its interior: ill
+      posed by construction.
+    Columns are then permuted at random, which keeps an ill-posed instance
+    ill posed for the orthant.
+    """
+    while True:
+        if kind == "bernoulli":
+            a = (rng.random((m, n)) < 0.3).astype(float)
+        else:
+            a = rng.integers(-1, 2, size=(m, n)).astype(float)
+        if kind == "ill_posed":
+            a[0] = np.eye(n)[0]
+            a[1:, 0] = 0.0
+            # n = 2 leaves no row below e_1 (m < n), so j = k does no harm there.
+            j, k = rng.choice(np.arange(1, n), 2, replace=n < 3)
+            a[1:, k] = 0.0 if rng.random() < 0.5 else -a[1:, j]
+        elif kind in COLUMN_FACTORS:
+            j, k = rng.choice(n, 2, replace=False)
+            a[:, k] = COLUMN_FACTORS[kind] * a[:, j]
+        if np.linalg.matrix_rank(a) == m:
+            return a[:, rng.permutation(n)]

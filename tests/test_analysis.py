@@ -12,7 +12,9 @@ from coniccond import (
     ExperimentConfig,
     Feasibility,
     FeasibilityStatus,
+    InconsistentClassification,
     NotDualFeasible,
+    NumericalFailure,
     NotPrimalFeasible,
     Orthant,
     analyze,
@@ -263,32 +265,52 @@ class TestTrialRenegar:
 
 
 class TestErrorTrials:
-    """lorentz:5, n=5, m=2, seed 0: multistart finds no converged run on trial 0."""
+    """A trial whose analysis raises is recorded as an error, and the run goes on.
 
-    CONFIG = dict(n=5, m=2, cone_spec="lorentz:5", trials=3, seed=0)
+    No trial of this lorentz:5 run fails by itself (trials 0 and 2 are
+    dual strict, trial 1 primal strict), so the analysis of trial FAILED
+    is made to raise: NumericalFailure for the records,
+    InconsistentClassification for the CLI.
+    """
 
-    def test_failed_trial_is_recorded(self, tmp_path, no_threads):
+    CONFIG = dict(n=5, m=2, cone_spec="lorentz:5", trials=3, seed=3)
+    FAILED = 1
+
+    def _fail_trial(self, monkeypatch, error):
+        """Make the analysis of trial FAILED raise ``error``."""
+        analyze_trial = coniccond.harness.analyze
+
+        def analyze_or_fail(cone, w, seed=0, a=None):
+            if seed == self.CONFIG["seed"] + self.FAILED:
+                raise error("injected failure")
+            return analyze_trial(cone, w, seed=seed, a=a)
+
+        monkeypatch.setattr(coniccond.harness, "analyze", analyze_or_fail)
+
+    def test_failed_trial_is_recorded(self, monkeypatch, tmp_path, no_threads):
+        self._fail_trial(monkeypatch, NumericalFailure)
         out = tmp_path / "records.jsonl"
         records = run_experiment(ExperimentConfig(**self.CONFIG, output_path=str(out)))
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["trial_index"] for r in lines] == [0, 1, 2]
-        assert lines[0] == {"trial_index": 0, "status": "error",
-                            "error": "NumericalFailure: no multistart run converged"}
+        assert lines[self.FAILED] == {"trial_index": self.FAILED, "status": "error",
+                                      "error": "NumericalFailure: injected failure"}
         good = [r for r in records if r.status != "error"]
-        assert good, "expected at least one trial to succeed"
-        cone = parse_cone(self.CONFIG["cone_spec"])
+        assert [r.trial_index for r in good] == [0, 2]
+        cone, seed = parse_cone(self.CONFIG["cone_spec"]), self.CONFIG["seed"]
         for record in good:
             index = record.trial_index
-            a = gaussian_matrix(trial_stream(0, index), 2, 5)
-            ren = renegar_condition(cone, a, seed=index)
+            a = gaussian_matrix(trial_stream(seed, index), 2, 5)
+            ren = renegar_condition(cone, a, seed=seed + index)
             assert record.status == classify_feasibility(
-                cone, subspace_from_rowspan(a), seed=index).tag.value
+                cone, subspace_from_rowspan(a), seed=seed + index).tag.value
             assert record.grassmann == grassmann_condition(
-                cone, subspace_from_rowspan(a), seed=index).value
+                cone, subspace_from_rowspan(a), seed=seed + index).value
             assert record.kappa == kappa(a)
-            assert record.renegar == ren
+            assert record.renegar == ren and ren.kind == "heuristic"
 
-    def test_cli_writes_records_and_exits_two(self, capsys, tmp_path, no_threads):
+    def test_cli_writes_records_and_exits_two(self, monkeypatch, capsys, tmp_path, no_threads):
+        self._fail_trial(monkeypatch, InconsistentClassification)
         out = tmp_path / "f.jsonl"
         cfg = self.CONFIG
         code = main(["experiment", "--cone", cfg["cone_spec"], "--n", str(cfg["n"]),
@@ -296,6 +318,6 @@ class TestErrorTrials:
                      "--seed", str(cfg["seed"]), "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2
-        assert "trials=3" in captured.out and "error=" in captured.out
+        assert "trials=3" in captured.out and "error=1" in captured.out
         assert "sandwich_failures=0" in captured.out
         assert len(out.read_text().splitlines()) == 3

@@ -38,6 +38,19 @@ class TestAnalyze:
         assert report["status"] == "dual_strict"
         assert report["renegar"]["kind"] == "exact"
 
+    def test_multistart_dual_route_is_heuristic(self, capsys, tmp_path):
+        # A dual strict lorentz:5 instance: its dual-route minimum comes from
+        # multistart, so R(A) is a heuristic point estimate, not "exact".
+        path = tmp_path / "lorentz.txt"
+        np.savetxt(path, np.random.default_rng(3).standard_normal((2, 5)), fmt="%.17g")
+        code, out, _ = run(capsys, ["analyze", "--cone", "lorentz:5", "--matrix", str(path),
+                                    "--json"])
+        assert code == 0
+        renegar = json.loads(out)["renegar"]
+        assert set(renegar) == {"kind", "lower", "upper", "basis"}
+        assert (renegar["kind"], renegar["basis"]) == ("heuristic", "dual-route-multistart")
+        assert renegar["lower"] == renegar["upper"] == pytest.approx(3.4233, abs=1e-4)
+
     def test_human_report(self, capsys, a_eps_file):
         code, out, _ = run(capsys, ["analyze", "--cone", "orthant:3", "--matrix", a_eps_file])
         assert code == 0

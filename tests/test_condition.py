@@ -102,6 +102,22 @@ class TestRenegarCondition:
         value = renegar_condition(Orthant(3), a)
         assert value.value == math.inf
 
+    @pytest.mark.parametrize("cone, a, basis, bounds", [
+        (Lorentz(4), [[1.0, 0.0, 0.0, 0.0]], "balanced:primal-angle", (SQ2, SQ2)),
+        (Lorentz(3), [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], "sandwich", (SQ2, 2.0 * SQ2)),
+        (Lorentz(3), [[0.0, 0.0, 2.0]], "dual-route-multistart", (SQ2, SQ2)),
+        (Lorentz(3), [[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]], "rank-deficient-dual-route-multistart",
+         (SQ2, SQ2)),
+        (Lorentz(3), [[1.0, 0.0, 1.0]], "ill-posed", (math.inf, math.inf)),
+    ], ids=["balanced", "sandwich", "dual_route", "rank_deficient", "ill_posed"])
+    def test_multistart_routes_are_heuristic(self, cone, a, basis, bounds):
+        # Each route reads a multistart extremum on a Lorentz cone: the
+        # angles behind the status and C(W), or the dual-route minimum.
+        value = renegar_condition(cone, np.array(a))
+        assert (value.kind, value.basis_of_claim, value.value) == ("heuristic", basis, None)
+        assert value.bounds() == pytest.approx(bounds, rel=1e-9)
+        assert set(value.to_json()) == {"kind", "lower", "upper", "basis"}
+
     def test_primal_interval_is_sandwich(self):
         rng = stream(62)
         seen = 0

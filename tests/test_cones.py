@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import coniccond.cones
 from coniccond import (
     ConeSpecError,
     DimensionError,
@@ -24,8 +25,11 @@ from coniccond import (
     grassmann_distances,
     FeasibilityStatus,
     InconsistentClassification,
+    analyze,
+    gaussian_matrix,
     parse_cone,
     subspace_from_rowspan,
+    trial_stream,
 )
 from coniccond.cones import _angle_of_cos2, primal_dual_angles
 from coniccond.grassmann import angle_point_subspace
@@ -281,6 +285,67 @@ class TestMixedProductLine:
         assert primal.angle == pytest.approx(math.acos(min(cos, 1.0)), abs=1e-6)
         assert np.linalg.norm(primal.witness) == pytest.approx(1.0, abs=1e-12)
         assert cone.contains(primal.witness)
+
+
+def _lorentz_closed_form(a):
+    """(primal, dual) angles of Lorentz(n) against row span(a): max(0, +-(theta - pi/4)).
+
+    theta is the angle between e_n and W; L is circular with axis e_n and
+    half-aperture pi/4.
+    """
+    _, _, vh = np.linalg.svd(a, full_matrices=False)
+    theta = math.acos(min(1.0, float(np.linalg.norm(vh[:, -1]))))
+    return max(0.0, theta - math.pi / 4.0), max(0.0, math.pi / 4.0 - theta)
+
+
+def _multistart_instances():
+    """(cone, A, seed): the lorentz:5 trial 0 of ExperimentConfig(n=5, m=2, seed=0), 30
+    lorentz:3..8 instances of every row count and four products with a Lorentz factor."""
+    rng = np.random.default_rng(777)
+    cases = [(Lorentz(5), gaussian_matrix(trial_stream(0, 0), 2, 5), 0)]
+    for i in range(30):
+        n = 3 + i % 6
+        cases.append((Lorentz(n), rng.standard_normal((int(rng.integers(1, n)), n)), i))
+    products = [Product([Orthant(2), Lorentz(3)]), Product([Lorentz(3), Negated(Orthant(2))]),
+                Product([Orthant(3), Lorentz(3)]), Product([Lorentz(4), Lorentz(3)])]
+    cases += [(cone, rng.standard_normal((2, cone.dim)), i) for i, cone in enumerate(products)]
+    return [pytest.param(*case, id=f"{k}-{case[0].spec()}-{case[1].shape[0]}x{case[0].dim}")
+            for k, case in enumerate(cases)]
+
+
+class TestMultistartRanksEveryRun:
+    """Every multistart run is ranked, converged or not, so no extremum raises.
+
+    Each iterate is a unit point of the cone, so a run stopped at
+    ASCENT_MAX_STEPS still bounds the angle from above.  While such runs
+    were dropped, the lorentz:5 trial (case 0) and cases 3 and 20 raised
+    NumericalFailure: every run of one extremum had stopped there.  None
+    of these 31 pure Lorentz instances raises InconsistentClassification;
+    a near ill-posed one may, when the touching side's best run stops just
+    above ANGLE_THRESHOLD.
+    """
+
+    @pytest.mark.parametrize("cone, a, seed", _multistart_instances())
+    def test_analysis_succeeds_above_the_closed_form(self, cone, a, seed):
+        analysis = analyze(cone, None, seed=seed, a=a)
+        lower, upper = analysis.renegar().bounds()
+        assert 1.0 <= lower <= upper
+        assert (analysis.primal.method, analysis.dual.method) == ("multistart", "multistart")
+        if isinstance(cone, Lorentz):
+            primal, dual = _lorentz_closed_form(a)
+            assert analysis.status.tag is FeasibilityStatus.from_angles(primal, dual).tag
+            assert analysis.primal.angle >= primal - 1e-12
+            assert analysis.dual.angle >= dual - 1e-12
+
+    def test_converged_values_keep_only_converged_runs(self, monkeypatch):
+        # A step limit of 1 stops every run before it converges: the
+        # extremum is still the best run, and no value counts as converged.
+        monkeypatch.setattr(coniccond.cones, "ASCENT_MAX_STEPS", 1)
+        ext = extremize_quadratic_over_cone(np.diag([1.0, 2.0, 3.0]), Lorentz(3), maximize=True)
+        assert ext.method == "multistart" and ext.converged_values.size == 0
+        assert Lorentz(3).contains(ext.point)
+        assert ext.value == pytest.approx(float(ext.point @ np.diag([1.0, 2.0, 3.0]) @ ext.point),
+                                          rel=1e-12)
 
 
 class TestExtremumRoute:
