@@ -10,8 +10,11 @@ the intersection of a cone with the unit sphere:
   corresponding principal submatrix);
 * an angle maximum ||P_W x|| with a basis B of W (r rows) solves only
   the realizable supports, the cells of the arrangement {B^T y = 0},
-  when REALIZABLE_MIN_DIM <= n and 2r <= n; every other maximum solves
-  all 2^n - 1 supports, each the same way;
+  when REALIZABLE_MIN_DIM <= n and 2r <= n, and in primal_dual_angles
+  the larger side reads the complement of the smaller side's table;
+  every other maximum solves all 2^n - 1 supports, each the same way;
+* the index tables of the enumeration depend only on (n, size) and are
+  built once, on first use (_support_table, _ray_patterns);
 * both extrema first solve only the supports of at most k coordinates,
   k the rank of a form K whose kernel every larger support meets:
   K = A^T A (A with k rows) for a minimum, K = I - P_W (k = n - r) for
@@ -33,10 +36,13 @@ the intersection of a cone with the unit sphere:
   multistart projected-gradient search returns its best run, converged
   or not, with no certificate.
 
-primal_dual_angles solves the strict side first where the realizable
-table shows it.  When that side is exact, Gordan's alternative can show
-from its witness that the other subspace meets the interior of the other
-cone (_gordan_zero); that angle is then exactly 0 and is not solved.
+primal_dual_angles builds one realizable table per instance, on the side
+with the smaller subspace, and gives the other side its complement: by
+Gordan's alternative no support is a cell of both sides.  It solves the
+strict side first where that table shows it.  When that side is exact,
+Gordan's alternative can show from its witness that the other subspace
+meets the interior of the other cone (_gordan_zero); that angle is then
+exactly 0 and is not solved.
 
 A sign-orthant of more than EXACT_ENUM_LIMIT coordinates raises
 DimensionError: no route here solves it exactly.
@@ -423,12 +429,43 @@ def _angle_of_cos2(lam: float) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _support_table(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The supports of one size in lexicographic order, and their bitmasks (read-only)."""
-    combos = np.array(list(itertools.combinations(range(n), size)), dtype=np.intp)
-    masks = (np.int64(1) << combos).sum(axis=1)
-    combos.flags.writeable = masks.flags.writeable = False
-    return combos, masks
+def _support_table(n: int, size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of the supports F of one size of n coordinates, built on first use (read-only).
+
+    (combos, masks, gather, supersets), one row per support in
+    lexicographic order: its coordinates; its int32 bitmask; the flat
+    indices of M[F, F] in an n x n matrix, so that np.take(M, gather) is
+    the stack of principal submatrices; and the int32 masks of F with one
+    coordinate added (F itself where the coordinate is in F).  Indices
+    take the smallest unsigned type, uint8 for n <= 16.
+    """
+    combos = np.array(list(itertools.combinations(range(n), size)),
+                      dtype=np.min_scalar_type(max(n - 1, 0)))
+    gather = combos.astype(np.min_scalar_type(n * n - 1))
+    gather = gather[:, :, None] * gather.dtype.type(n) + gather[:, None, :]
+    masks = (np.int32(1) << combos.astype(np.int32)).sum(axis=1, dtype=np.int32)
+    supersets = masks[:, None] | (np.int32(1) << np.arange(n, dtype=np.int32))
+    for table in (combos, masks, gather, supersets):
+        table.flags.writeable = False
+    return combos, masks, gather, supersets
+
+
+@functools.lru_cache(maxsize=None)
+def _ray_patterns(n: int, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(off, on) for the rays of _realizable_supports from the size-subsets S, built on first use.
+
+    One row per S, as _support_table orders them (read-only): off marks
+    the coordinates outside S, and on holds the int32 bitmasks within S
+    of all 2^size sign choices on S.
+    """
+    combos = _support_table(n, size)[0]
+    off = np.ones((len(combos), n), dtype=bool)
+    off[np.arange(len(combos))[:, None], combos] = False
+    choices = np.arange(1 << size, dtype=np.int32)[:, None] >> np.arange(size, dtype=np.int32)
+    choices &= 1
+    on = (np.int32(1) << combos.astype(np.int32)) @ choices.T
+    off.flags.writeable = on.flags.writeable = False
+    return off, on
 
 
 def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
@@ -458,10 +495,10 @@ def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
     """
     r, n = basis.shape
     norms = np.linalg.norm(basis, axis=0)
-    subsets, _ = _support_table(n, r - 1)
+    subsets, _, gather, _ = _support_table(n, r - 1)
     rows = basis.T[subsets]                           # X_S, (rays, r - 1, r)
     # G = X_S X_S^T = (B^T B)[S, S], read off one n x n product.
-    gram = (basis.T @ basis)[subsets[:, :, None], subsets[:, None, :]]
+    gram = np.take(basis.T @ basis, gather)
     inverse, det = _spd_inverse(gram)
     column_norms = norms[subsets]
     if not np.all(np.sqrt(det) > GENERAL_POSITION_TOL * np.prod(column_norms, axis=1)):
@@ -476,8 +513,7 @@ def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
     rays /= np.sqrt(np.einsum("bi,bi->b", rays, rays))[:, None]
     # B^T v for unit rays v; its off-S entries are the coordinates of x they give.
     entries = rays @ basis
-    off = np.ones(entries.shape, dtype=bool)
-    off[rays_index[:, None], subsets] = False
+    off, on_s = _ray_patterns(n, r - 1)
     trace = np.einsum("bi,bi->b", column_norms, column_norms)   # tr G = ||X_S||_F^2
     # A bound on ||X_S v||, the on-S entries of B^T v.
     on_entries = np.einsum("bij,bj->bi", rows, rays)
@@ -487,8 +523,6 @@ def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
     if not np.all((np.abs(entries) > GENERAL_POSITION_TOL + drift[:, None] * norms) | ~off):
         return None
     bits = np.int64(1) << np.arange(n)
-    sign_choices = (np.arange(1 << (r - 1))[:, None] >> np.arange(r - 1)) & 1
-    on_s = (np.int64(1) << subsets) @ sign_choices.T  # (rays, 2^(r-1)) masks within S
     table = np.zeros(1 << n, dtype=bool)
     for side in (entries > 0.0, entries < 0.0):
         table[((side & off) @ bits)[:, None] | on_s] = True
@@ -556,9 +590,10 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
     value is the extremum.  Sizes are visited from n down to 1; neither
     the value nor the point depends on that order.
 
-    With ``realizable`` (a table from _realizable_supports, for a maximum
-    only) only the supports it marks are solved, each as in the full
-    enumeration, so an accepted value keeps its bits.
+    With ``realizable`` (a table from _realizable_supports, or the
+    complement of the other side's, for a maximum only) only the supports
+    it marks are solved, each as in the full enumeration, so an accepted
+    value keeps its bits.
 
     With ``cap`` = k, the rank of a positive semidefinite form K: K = M
     for a minimum (M = A^T A, A with k rows), K = I - M for a maximum (M
@@ -608,7 +643,6 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
     norm_k = 1.0 if maximize else float(np.abs(sym).sum(axis=1).max())
     if not maximize:
         margin = 2.0 * INTERLACING_MARGIN * max(1.0, norm_k)
-        bits = np.int64(1) << np.arange(n)
     # Accepted (values, supports, vectors) by support size; a 1x1
     # eigenvector can always be signed, so size 1 accepts every row.
     accepted_by_size = {}
@@ -616,15 +650,14 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
     def solve(sizes):
         nonlocal best
         for size in sizes:
-            combos, masks = _support_table(n, size)
+            combos, masks, gather, supersets = _support_table(n, size)
             if not maximize:
-                # Each mask | bit is a one-larger superset, or the mask itself.
-                skipped[masks] = skipped[masks[:, None] | bits].any(axis=1)
+                skipped[masks] = skipped[supersets].any(axis=1)
             keep = ~skipped[masks]
-            combos, masks = combos[keep], masks[keep]
+            combos, masks, gather = combos[keep], masks[keep], gather[keep]
             if not len(combos):
                 continue
-            subs = sym[combos[:, :, None], combos[:, None, :]]
+            subs = np.take(sym, gather)
             # lambda_min of K = M_F for a minimum, or a lower bound on it.
             lows = np.empty(len(combos))
             solved = np.ones(len(combos), dtype=bool)
@@ -809,6 +842,16 @@ def _route_table(cone: Cone, basis: np.ndarray) -> np.ndarray | None:
 
     The route rule: a sign-orthant of n coordinates, REALIZABLE_MIN_DIM <= n
     <= EXACT_ENUM_LIMIT and 2k <= n for k orthonormal rows in ``basis``.
+    primal_dual_angles builds one table per instance, on the smaller side,
+    where 2k <= n always holds; the other side (dual C against W_perp)
+    reads its complement.  That is safe by Gordan's alternative: with d
+    the sign vector of C, a support P of the other side has some z in
+    W_perp with d * z < 0 on P and >= 0 off P (KKT), and a cell P of the
+    table some w in W with d * w > 0 on P and < 0 off P, which together
+    would give <w, z> < 0.  So the complement holds every support the
+    other side can accept, and equals that side's own table in general
+    position.  Here the rule decides only which side builds; an angle
+    solved alone with 2k > n takes no table.
     """
     signs, (k, n) = cone.orthant_signs, basis.shape
     if signs is None or not REALIZABLE_MIN_DIM <= n <= EXACT_ENUM_LIMIT or 2 * k > n:
@@ -927,19 +970,23 @@ def primal_dual_angles(cone: Cone, w: Subspace,
     """angle(C, W) and angle(dual C, W_perp), solved once each.
 
     Every feasibility and condition quantity of W derives from this pair.
-    The side with the smaller subspace (W on a tie) is solved first,
-    unless its realizable table (_route_table) marks the full support:
-    that side touches, so the other one goes first.  When a solved side
-    is exact and strict, the other side is exactly 0 wherever Gordan's
-    alternative shows it from that side's witness (_gordan_zero); it is
-    solved only when that test fails.  A touching side solved first is
-    replaced by that zero when the strict side, solved second, proves it,
-    so no angle depends on the order.  Multistart results and ill-posed
-    instances solve both sides.
+    One realizable table is built per instance, for the side with the
+    smaller subspace (W on a tie), and the other side reads its
+    complement (_route_table gives the Gordan argument).  Where that
+    table is refused, the other side builds its own where the route rule
+    allows.  The smaller side is solved first, unless its table marks the
+    full support: that side touches, so the other one goes first.  When a
+    solved side is exact and strict, the other side is exactly 0 wherever
+    Gordan's alternative shows it from that side's witness (_gordan_zero);
+    it is solved only when that test fails.  A touching side solved first
+    is replaced by that zero when the strict side, solved second, proves
+    it, so no angle depends on the order.  Multistart results and
+    ill-posed instances solve both sides.
     """
     sides = sorted([(cone, w), (dual_cone(cone), complement(w))], key=lambda side: side[1].dim)
-    tables = [_route_table(sides[0][0], sides[0][1].basis), _BUILD]
-    if tables[0] is not None and tables[0][-1]:
+    table = _route_table(sides[0][0], sides[0][1].basis)
+    tables = [table, _BUILD if table is None else ~table]
+    if table is not None and table[-1]:
         sides.reverse()
         tables.reverse()
     (first_cone, first_w), (second_cone, second_w) = sides

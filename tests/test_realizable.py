@@ -1,19 +1,22 @@
 """Realizable supports and the strict cap: which supports an orthant maximum solves."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from coniccond import Orthant, Subspace, cone_subspace_angle
-from coniccond.cones import (REALIZABLE_MIN_DIM, _angle_of_cos2, _enumerate_orthant_extremum,
-                             _realizable_supports, extremize_quadratic_over_cone)
+import coniccond.cones
+from coniccond import Orthant, Subspace, cone_subspace_angle, subspace_from_rowspan
+from coniccond.cones import (_BUILD, REALIZABLE_MIN_DIM, _angle_of_cos2, _enumerate_orthant_extremum,
+                             _realizable_supports, _route_table, extremize_quadratic_over_cone,
+                             primal_dual_angles)
 from coniccond.grassmann import complement
 from coniccond.tolerances import GORDAN_MARGIN
-from conftest import (count_decided, full_orthant_minimum, orthant_like,
-                      reference_realizable_supports)
+from conftest import (STRUCTURED_KINDS, count_decided, full_orthant_minimum, orthant_like,
+                      reference_realizable_supports, structured_matrix)
 
 
 def _row_basis(a):
@@ -94,6 +97,81 @@ class TestRealizableRoute:
         assert angle.method == "exact"
         assert angle.angle == _angle_of_cos2(full.value)
         assert np.array_equal(angle.witness, full.point)
+
+
+@st.composite
+def instances(draw):
+    """An orthant-like cone with 7 <= n <= 12 and the row span of a Gaussian or structured matrix."""
+    n = draw(st.integers(REALIZABLE_MIN_DIM, 12))
+    m = draw(st.integers(1, n - 1))
+    kind = draw(st.sampled_from(("gaussian",) + STRUCTURED_KINDS))
+    split = draw(st.integers(0, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((m, n)) if kind == "gaussian" else structured_matrix(rng, m, n, kind)
+    blocks = [(positive, k) for positive, k in ((True, split), (False, n - split)) if k]
+    return kind, orthant_like(blocks), subspace_from_rowspan(a)
+
+
+class TestOneTablePerInstance:
+    """primal_dual_angles builds the realizable table of the smaller side only.
+
+    The other side, the dual cone against the complement, reads its
+    complement: a cell of one side is never a cell of the other, since
+    d * w > 0 on P and < 0 off P, and d * z < 0 on P and >= 0 off P
+    (d = C's sign vector) would give <w, z> < 0 for w in W, z in W_perp.
+    """
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(instances())
+    def test_the_other_side_reads_the_complement(self, instance):
+        kind, cone, w = instance
+        sides = sorted([(cone, w), (cone.dual(), complement(w))], key=lambda side: side[1].dim)
+        (small_cone, small_w), (other_cone, other_w) = sides
+        table = _route_table(small_cone, small_w.basis)
+        small, other = ("primal", "dual") if small_w is w else ("dual", "primal")
+        passed = {}
+        solve = coniccond.cones.cone_subspace_angle
+
+        def spy(side_cone, side_w, seed=0, *, _table=_BUILD):
+            passed["primal" if side_w is w else "dual"] = _table
+            return solve(side_cone, side_w, seed, _table=_table)
+
+        with mock.patch.object(coniccond.cones, "cone_subspace_angle", spy):
+            primal_dual_angles(cone, w)
+        if table is None:
+            # Refused: the other side builds its own table wherever the route rule says so.
+            assert passed.get(small, None) is None
+            assert passed.get(other, _BUILD) is _BUILD
+            return
+        assert np.array_equal(passed.get(small, table), table)
+        assert np.array_equal(passed.get(other, ~table), ~table)
+        # The other side's own table, built whatever its dimension, lies in the complement.
+        direct = _realizable_supports(other_w.basis * other_cone.orthant_signs)
+        if direct is not None:
+            assert not (direct & table).any()
+            if kind == "gaussian":
+                assert np.array_equal(direct, ~table)
+        through = cone_subspace_angle(other_cone, other_w, _table=~table)
+        full = cone_subspace_angle(other_cone, other_w, _table=None)
+        assert through.angle == full.angle
+        assert np.array_equal(through.witness, full.witness)
+
+    def test_a_tie_reads_one_table(self, monkeypatch):
+        # Dual strict at m = n/2: W's table marks the full support, so W_perp
+        # goes first and reads the complement instead of building its own.
+        a = np.random.default_rng(3).standard_normal((6, 12))
+        a[0] = np.abs(a[0])
+        w = subspace_from_rowspan(a)
+        build, built = coniccond.cones._realizable_supports, []
+
+        def counted(basis):
+            built.append(basis.shape)
+            return build(basis)
+
+        monkeypatch.setattr(coniccond.cones, "_realizable_supports", counted)
+        primal, dual = primal_dual_angles(Orthant(12), w)
+        assert built == [(6, 12)]
+        assert primal.angle == 0.0 < dual.angle
 
 
 class TestTableOracle:
