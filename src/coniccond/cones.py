@@ -973,19 +973,22 @@ def primal_dual_angles(cone: Cone, w: Subspace,
     One realizable table is built per instance, for the side with the
     smaller subspace (W on a tie), and the other side reads its
     complement (_route_table gives the Gordan argument).  Where that
-    table is refused, the other side builds its own where the route rule
-    allows.  The smaller side is solved first, unless its table marks the
-    full support: that side touches, so the other one goes first.  When a
-    solved side is exact and strict, the other side is exactly 0 wherever
-    Gordan's alternative shows it from that side's witness (_gordan_zero);
-    it is solved only when that test fails.  A touching side solved first
-    is replaced by that zero when the strict side, solved second, proves
-    it, so no angle depends on the order.  Multistart results and
-    ill-posed instances solve both sides.
+    table is refused or the route rule takes none, the other side takes
+    none either, so an instance builds at most one table: at the tie
+    2k = n the other side's own table would be refused too (W and W_perp
+    share one arrangement up to Gale duality), and at any other size the
+    rule takes none there.  The smaller side is solved first, unless its
+    table marks the full support: that side touches, so the other one
+    goes first.  When a solved side is exact and strict, the other side
+    is exactly 0 wherever Gordan's alternative shows it from that side's
+    witness (_gordan_zero); it is solved only when that test fails.  A
+    touching side solved first is replaced by that zero when the strict
+    side, solved second, proves it, so no angle depends on the order.
+    Multistart results and ill-posed instances solve both sides.
     """
     sides = sorted([(cone, w), (dual_cone(cone), complement(w))], key=lambda side: side[1].dim)
     table = _route_table(sides[0][0], sides[0][1].basis)
-    tables = [table, _BUILD if table is None else ~table]
+    tables = [table, None if table is None else ~table]
     if table is not None and table[-1]:
         sides.reverse()
         tables.reverse()

@@ -341,7 +341,8 @@ def condition_report(cone: Cone, a, seed: int = 0, include_witnesses: bool = Fal
         "iteration_estimate": json_number(iteration_bound_estimate(grassmann.value, n)),
     }
     if isinstance(cone, Orthant) and np.all(np.linalg.norm(arr, axis=0) > 0.0):
-        report["gcc"] = json_number(gcc_condition(arr).value)
+        wide = status.tag is Feasibility.PRIMAL_STRICT
+        report["gcc"] = json_number(gcc_condition(arr, _wide=wide).value)
     if include_witnesses:
         witnesses = []
         if status.tag is Feasibility.DUAL_STRICT:

@@ -113,6 +113,21 @@ CAP_TIE_TOL = 1e-12
 CAP_BOUNDARY_TOL = 1e-8
 # A cap radius within this of pi/2 makes the GCC condition infinite.
 RIGHT_ANGLE_TOL = 1e-9
+# The wide route's certificate (gcc._wide_certificate) takes a computed cosine p . c of unit
+# vectors, p a point and c a center (both with squared norms within a quarter of this of 1,
+# or the route is not taken), to be within this of the exact cosine of their directions:
+# about 45 eps, above the (m + 2) eps of the dot product and the norms' share for m <= 16.
+# An angle arccos of it then errs by at most this / sin(angle), and anywhere by at most
+# 2.3 sqrt(this), since arccos(1 - e) = 2 arcsin(sqrt(e / 2)) <= pi sqrt(e / 2).
+CAP_DOT_ROUNDING = 1e-14
+# The certificate takes a computed circumcenter of k <= m <= 16 unit points (the Gram
+# matrix G = sub sub^T, LAPACK gesv, sub^T w, normalization) to lie within 2 e / (1 - e)
+# radians of the exact one, e this times cond_2(G), and it requires e < 1/2.  This is a
+# rounding budget of about 450 eps for the backward error E of forming G and solving with
+# it (||E|| <= (k^2 + 3 k g) eps ||G|| for a modest element growth g): the exact center is
+# A^T G^-1 1 = A^+ 1 for A = sub, so an error E moves it by ||A^+ E w|| <= ||E|| ||G^-1||
+# relative to its length, and the product and the normalization add k^1.5 eps sqrt(cond).
+CAP_CENTER_ROUNDING = 1e-13
 
 # --- Oracles and experiments (harness.py) ---
 # Relative and absolute slack of the sandwich check C(W) <= R(A) <= kappa(A) C(W).

@@ -1,23 +1,30 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from coniccond import (
     EmptyInput,
+    Feasibility,
     NonUnitPoint,
     Orthant,
     ZeroColumn,
+    analyze,
+    condition_report,
     gcc_condition,
     grassmann_condition,
     kappa,
     smallest_enclosing_cap,
     subspace_from_rowspan,
 )
-from conftest import random_matrix, random_orthogonal, reference_cap, stream
+from coniccond.condition import json_number
+from coniccond.gcc import _circumcenters, _wide_route
+from conftest import random_matrix, random_orthogonal, reference_cap, stream, structured_matrix
 
 SQ2 = math.sqrt(2.0)
 
@@ -169,8 +176,8 @@ def _cube_vertices(m):
     return np.array(list(itertools.product((1.0, -1.0), repeat=m))) / math.sqrt(m)
 
 
-def _assert_matches_reference(pts):
-    cap = smallest_enclosing_cap(pts)
+def _assert_matches_reference(pts, wide=False):
+    cap = smallest_enclosing_cap(pts, _wide=wide)
     center, radius, support = reference_cap(pts)
     np.testing.assert_array_equal(cap.center, center)
     assert cap.radius == radius
@@ -204,6 +211,115 @@ class TestMatchesReference:
             *(f"rotated-cube-{m}" for m in range(2, 4))])
     def test_symmetric_sets_with_tied_radii(self, pts):
         _assert_matches_reference(pts)
+
+
+def _is_wide(pts):
+    """0 in the interior of conv(pts), by scipy linprog: the points span R^m and some
+    weights lambda >= 1 have sum lambda_i p_i = 0 (Gordan)."""
+    count, m = pts.shape
+    if np.linalg.matrix_rank(pts) < m:
+        return False
+    res = linprog(np.zeros(count), A_eq=pts.T, b_eq=np.zeros(m), bounds=(1.0, None),
+                  method="highs")
+    return res.status == 0
+
+
+def _route(pts):
+    """The wide route's cap, None where it falls back."""
+    count, m = pts.shape
+    return _wide_route(pts, _circumcenters(pts, m)) if 2 <= m < count else None
+
+
+# The orthant-report benchmark's shapes (m, n).
+REPORT_SHAPES = ((2, 6), (3, 6), (4, 6), (3, 8), (4, 8), (6, 8), (3, 10), (5, 10), (7, 10))
+
+
+@functools.lru_cache(maxsize=None)
+def _report_pool():
+    """The orthant-report benchmark's seed 1 matrices: 2048 per shape, drawn in shape order."""
+    rng = np.random.default_rng([1, 1])
+    return {shape: rng.standard_normal((2048, *shape)) for shape in REPORT_SHAPES}
+
+
+def _report_inputs(m, n, count=100):
+    return _report_pool()[(m, n)][:count]
+
+
+SYMMETRIC_WIDE_SETS = {
+    **{f"pm-simplex-{m}": _plus_minus_simplex(m) for m in range(1, 5)},
+    **{f"cube-{m}": _cube_vertices(m) for m in range(1, 4)},
+    **{f"rotated-pm-simplex-{m}": _plus_minus_simplex(m) @ random_orthogonal(stream(m), m).T
+       for m in range(2, 5)},
+    **{f"rotated-cube-{m}": _cube_vertices(m) @ random_orthogonal(stream(m), m).T
+       for m in range(2, 4)},
+}
+
+
+class TestWideRoute:
+    """The size-m route of a wide cap gives the full scan's cap, bit for bit, or falls back."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(kind=st.sampled_from(["gaussian", "duplicated", "antipodal", "great_circle",
+                                 "near_right_angle"]),
+           seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), extra=st.integers(1, 6))
+    def test_wide_point_sets_match_the_reference(self, kind, seed, m, extra):
+        pts = _point_set(kind, stream(seed), m, m + extra)
+        assume(_is_wide(pts))
+        _assert_matches_reference(pts, wide=True)
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(kind=st.sampled_from(["ternary", "duplicated", "antiparallel"]),
+           seed=st.integers(0, 2**32 - 1), m=st.integers(2, 5), extra=st.integers(1, 5))
+    def test_wide_structured_columns_match_the_reference(self, kind, seed, m, extra):
+        a = structured_matrix(stream(seed), m, m + extra, kind)
+        norms = np.linalg.norm(a, axis=0)
+        assume(np.all(norms > 0.0))
+        pts = (a / norms).T
+        assume(_is_wide(pts))
+        _assert_matches_reference(pts, wide=True)
+
+    @pytest.mark.parametrize("name", list(SYMMETRIC_WIDE_SETS))
+    def test_symmetric_sets_fall_back_to_the_full_scan(self, name):
+        pts = SYMMETRIC_WIDE_SETS[name]
+        assert _is_wide(pts)
+        assert _route(pts) is None
+        _assert_matches_reference(pts, wide=True)
+
+    @pytest.mark.parametrize("m, n", REPORT_SHAPES)
+    def test_the_route_serves_every_gaussian_primal_strict_instance(self, m, n):
+        # The orthant-report benchmark's seed 1 inputs, the first 100 of each shape.  The
+        # route declines by design where a subset is nearly singular (one 5 x 10 draw of
+        # trial_stream(1, 5114) has a 5-subset of condition 5e16), so this guards only
+        # against a certificate that refuses ordinary Gaussian caps.
+        served = 0
+        for trial, a in enumerate(_report_inputs(m, n)):
+            if analyze(Orthant(n), None, a=a).status.tag is not Feasibility.PRIMAL_STRICT:
+                continue
+            pts = (a / np.linalg.norm(a, axis=0)).T
+            cap, full = _route(pts), smallest_enclosing_cap(pts)
+            assert cap is not None, trial
+            np.testing.assert_array_equal(cap.center, full.center)
+            assert (cap.radius, cap.support) == (full.radius, full.support)
+            served += 1
+        assert served > 0
+
+
+class TestReportGcc:
+    @pytest.mark.parametrize("m, n", REPORT_SHAPES)
+    def test_report_gcc_equals_gcc_condition_bit_for_bit(self, m, n):
+        # Until both tags have been seen, and at least 8 reports: a 6 x 8 instance is
+        # primal strict about once in 40.
+        tags, trial = set(), 0
+        while trial < 8 or len(tags) < 2:
+            a = random_matrix(stream(2, 1000 * m + 10 * n + trial), m, n)
+            report = condition_report(Orthant(n), a)
+            tags.add(report["status"])
+            assert report["gcc"] == json_number(gcc_condition(a).value), trial
+            trial += 1
+            assert trial <= 400
+        assert tags == {"primal_strict", "dual_strict"}
 
 
 class TestGccCondition:
