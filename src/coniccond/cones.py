@@ -13,6 +13,13 @@ the intersection of a cone with the unit sphere:
   when REALIZABLE_MIN_DIM <= n and 2r <= n, and in primal_dual_angles
   the larger side reads the complement of the smaller side's table;
   every other maximum solves all 2^n - 1 supports, each the same way;
+* where such a table is the side's own and r <= CELL_ROUTE_MAX_RANK
+  (2r < n), the cell route (_cell_extremum) solves every cell as the r x r
+  matrix B_P B_P^T in one batched eigh, which shares its top eigenvalue
+  with the principal submatrix B_P^T B_P; a rounding bound decides most
+  cells, the enumeration's own code solves the rest near the top again,
+  so the result keeps its bits, and where the bound decides nothing the
+  table enumeration runs;
 * the index tables of the enumeration depend only on (n, size) and are
   built once, on first use (_support_table, _ray_patterns);
 * both extrema first solve only the supports of at most k coordinates,
@@ -66,9 +73,10 @@ import numpy as np
 from .errors import ConeSpecError, DimensionError, InconsistentClassification
 from .grassmann import Subspace, angle_point_subspace, complement
 from .tolerances import (ANGLE_THRESHOLD, ASCENT_MAX_STEPS, ASCENT_MIN_GAIN, ASCENT_MIN_NORM,
-                         ASCENT_MIN_STEP, GENERAL_POSITION_TOL, GORDAN_MARGIN, INTERLACING_MARGIN,
-                         INVERSE_ROUNDING, MEMBERSHIP_TOL, PRODUCT_WEIGHT_FLOOR,
-                         SIGN_CERT_COND_LIMIT, SIGN_CERT_ROUNDING, SIGNABLE_TOL, SMALL_ANGLE)
+                         ASCENT_MIN_STEP, CELL_ROUNDING, GENERAL_POSITION_TOL, GORDAN_MARGIN,
+                         INTERLACING_MARGIN, INVERSE_ROUNDING, MEMBERSHIP_TOL,
+                         PRODUCT_WEIGHT_FLOOR, SIGN_CERT_COND_LIMIT, SIGN_CERT_ROUNDING,
+                         SIGNABLE_TOL, SMALL_ANGLE)
 
 # glibc maps a block above its mmap threshold (128 KiB by default), unmaps it
 # when freed, and trims the heap top once more than its trim threshold is free.
@@ -94,8 +102,24 @@ EXACT_ENUM_LIMIT = 16
 # (0.34 against 0.59 ms).  At n = 7 it wins at r = 1 (0.90 against 0.43 ms) and
 # r = 2 (0.77 against 0.62 ms) and loses at r = 3 (0.64 against 0.78 ms); at
 # n = 8 it wins at every r <= n/2, 1.38 against 0.94 ms at r = 3 and 2.05
-# against 1.72 ms at r = 4.
+# against 1.72 ms at r = 4.  The cell route (below) does not lower it: at n = 5
+# the table and the cell route lose to the full enumeration at r = 1 (0.37
+# against 0.31 ms) and r = 2 (0.27 against 0.15 ms), and at n = 6 they win at
+# r = 1 (0.24 against 0.28 ms) and lose at r = 2 (0.26 against 0.22 ms).  Built
+# for the cell route at n = 5 and 6, primal_dual_angles over 200 of the report
+# benchmark's seed 1 inputs per shape took 0.357 against 0.362 ms at (2, 6),
+# 0.448 against 0.451 at (3, 6) and 0.374 against 0.391 at (4, 6) (best of 5).
 REALIZABLE_MIN_DIM = 7
+# An angle maximum whose basis has at most this many rows, with 2r < n, solves
+# its realizable table by the cell route (_cell_extremum): one r x r matrix per
+# cell in place of its principal submatrix.  One maximum with its table built,
+# the cell route against the table enumeration, medians over 20 Gaussian bases
+# of the best of 15 calls (2 cores, numpy 2.4.6): r = 2 is 1.8x faster at n = 8
+# and 2.2-2.8x at n = 10-16; r = 3 is 1.2x at n = 8, 1.8x at n = 10, 2.5x at
+# n = 12 and 3.5x at n = 16; r = 4 is 1.08x at n = 8, 1.04x at n = 10 and
+# 1.4-2.1x at n = 12-16; r = 5 and 6 lose (0.42-0.97x).  Re-time r = 4 before
+# widening this.
+CELL_ROUTE_MAX_RANK = 3
 MULTISTART_COUNT = 64
 # The sign certificate's inverse iteration takes 2^this steps, by squaring the
 # inverse (_sign_rejections).  Over seed 1 orthant-ensemble chunks 0-59, eigh
@@ -420,6 +444,7 @@ class QuadraticExtremum:
     point: np.ndarray           # a point whose own value is value
     method: str                 # "exact" | "multistart"
     converged_values: np.ndarray  # converged runs' values, best first, possibly empty; exact: one
+    route: str                  # "cells" | "table" | "enumeration" | "multistart"
 
 
 def _angle_of_cos2(lam: float) -> float:
@@ -668,15 +693,9 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
                 combos, subs = combos[solved], subs[solved]
             lams = np.empty(0)
             if len(combos):
-                eigvals, eigvecs = np.linalg.eigh(subs)
+                eigvals, vecs, accepted = _eigh_candidates(subs, maximize)
                 lows[solved] = eigvals[:, 0]
-                col = size - 1 if maximize else 0
-                vecs = eigvecs[:, :, col]
-                lead = np.argmax(np.abs(vecs), axis=1)
-                lead_sign = vecs[np.arange(len(combos)), lead]
-                vecs = vecs * np.where(lead_sign < 0.0, -1.0, 1.0)[:, None]
-                accepted = vecs.min(axis=1) >= -SIGNABLE_TOL
-                lams = eigvals[accepted, col]
+                lams = eigvals[accepted, size - 1 if maximize else 0]
                 accepted_by_size[size] = (lams, combos[accepted], vecs[accepted])
             if not maximize:
                 best = min(best, float(lams.min(initial=np.inf)))
@@ -756,6 +775,118 @@ def _sign_rejections(subs, maximize):
                     & (gap > 0.0) & (x.min(axis=0) < -slack) & (x.max(axis=0) > slack))
         lower = theta - residual ** 2 / gap - round_off
     return rejected, lower
+
+
+def _eigh_candidates(subs, maximize):
+    """(eigvals, vecs, accepted) of a stack of principal submatrices, as the enumeration decides.
+
+    vecs holds each extreme eigenvector (lambda_max for a maximum,
+    lambda_min for a minimum), signed so that its entry of largest
+    magnitude is nonnegative; accepted marks those that dip at most
+    SIGNABLE_TOL below zero.  numpy's eigh solves each matrix of a stack
+    by its own LAPACK call, so a support's result does not depend on the
+    batch it is solved in.
+    """
+    eigvals, eigvecs = np.linalg.eigh(subs)
+    vecs = eigvecs[:, :, subs.shape[-1] - 1 if maximize else 0]
+    lead = np.argmax(np.abs(vecs), axis=1)
+    lead_sign = vecs[np.arange(len(vecs)), lead]
+    vecs = vecs * np.where(lead_sign < 0.0, -1.0, 1.0)[:, None]
+    return eigvals, vecs, vecs.min(axis=1) >= -SIGNABLE_TOL
+
+
+@functools.lru_cache(maxsize=None)
+def _cell_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(masks, sizes, rows) of the nonempty supports of n coordinates, built once, read-only.
+
+    The int32 bitmasks come by size, and within a size in the
+    lexicographic order of _support_table; sizes holds each support's
+    size and rows its row in that size's table.
+    """
+    tables = [_support_table(n, size)[1] for size in range(1, n + 1)]
+    masks = np.concatenate(tables)
+    sizes = np.repeat(np.arange(1, n + 1), [len(t) for t in tables])
+    rows = np.concatenate([np.arange(len(t)) for t in tables])
+    for index in (masks, sizes, rows):
+        index.flags.writeable = False
+    return masks, sizes, rows
+
+
+def _cell_extremum(m_mat, basis, realizable):
+    """max y^T M y over unit y >= 0 from the r x r matrices of the supports, or None.
+
+    M = B^T B for ``basis`` B (r rows).  Returns (value, point) with the
+    bits of _enumerate_orthant_extremum(M, True, realizable), or None
+    where the bound below cannot decide.
+
+    For a support P, G_P = B_P B_P^T and M_P = B_P^T B_P share their
+    nonzero eigenvalues mu_1 >= mu_2 >= ..., so M_P's second eigenvalue is
+    mu_2 (0 where r = 1), and a top eigenvector y of G_P gives M_P's as
+    B_P^T y / sqrt(mu_1).  One product of the supports' 0/1 rows with
+    the outer products b_i b_i^T forms every G_P, and one batched eigh
+    solves them all.
+
+    With rho = CELL_ROUNDING tr G_P, the computed mu_1 lies within 2 rho of
+    the top eigenvalue eigh computes from M_P, and where delta = mu_1 -
+    mu_2 - 3 rho > 0 the unit vector v = B_P^T y / ||B_P^T y|| lies within
+    e = 2 sqrt(2) rho / delta + CELL_ROUNDING of M_P's computed top
+    eigenvector, up to sign, in every entry (see CELL_ROUNDING): each
+    computed eigenvector errs by at most rho / delta in angle
+    (Davis-Kahan), and y -> B_P^T y widens no angle to the top
+    eigenvector y*, since B_P^T y* is orthogonal to B_P^T z for z
+    orthogonal to y*, and ||B_P^T z|| <= sqrt(mu_1).  So a support is
+    surely accepted when v, signed by its entry of largest magnitude, has
+    no entry on P below e - SIGNABLE_TOL: M_P's eigenvector, signed alike,
+    has none below -SIGNABLE_TOL, and its entry of largest magnitude, at
+    least |P|^(-1/2), is then positive, so the enumeration's signing keeps
+    that sign.  It is surely rejected when v has an entry above
+    SIGNABLE_TOL + e and one below -(SIGNABLE_TOL + e), since then so does
+    M_P's eigenvector, whatever its sign.
+
+    The largest mu_1 - 2 rho of a surely accepted support, L, is at most
+    the enumeration's maximum.  A support with mu_1 + 2 rho < L cannot
+    attain it, nor can a surely rejected one; every other support is
+    solved again by the enumeration's own code (np.take of its principal
+    submatrix, _eigh_candidates), which gives it the enumeration's bits,
+    and _best_candidate picks the winner among them as the enumeration
+    does.  None when a computed mu is not finite or no support is surely
+    accepted.
+    """
+    r, n = basis.shape
+    masks, sizes, rows = _cell_index(n)
+    keep = realizable[masks]
+    masks, sizes, rows = masks[keep], sizes[keep], rows[keep]
+    # (n, cells) arrays from here on: reductions over the long axis are faster.
+    inside = ((masks >> np.arange(n, dtype=np.int32)[:, None]) & 1).astype(bool)
+    outer = (basis[:, None, :] * basis[None, :, :]).reshape(r * r, n)   # b_i b_i^T by column
+    gram = (outer @ inside).T.reshape(len(masks), r, r)
+    mu, ys = np.linalg.eigh(gram)
+    if not np.all(np.isfinite(mu)):
+        return None
+    top = mu[:, -1]
+    rho = CELL_ROUNDING * np.trace(gram, axis1=1, axis2=2)
+    v = np.where(inside, basis.T @ ys[:, :, -1].T, 0.0)
+    with np.errstate(all="ignore"):
+        v /= np.sqrt(np.einsum("ic,ic->c", v, v))
+        lead = v[np.argmax(np.abs(v), axis=0), np.arange(len(masks))]
+        delta = top - (mu[:, -2] if r > 1 else 0.0) - 3.0 * rho
+        e = 2.0 * np.sqrt(2.0) * rho / delta + CELL_ROUNDING
+        low = np.where(inside, v * np.where(lead < 0.0, -1.0, 1.0), np.inf).min(axis=0)
+        accepted = (delta > 0.0) & (low >= e - SIGNABLE_TOL)
+        bound = SIGNABLE_TOL + e
+        rejected = (delta > 0.0) & (v.max(axis=0) > bound) & (v.min(axis=0) < -bound)
+    if not accepted.any():
+        return None
+    floor = float((top - 2.0 * rho)[accepted].max())
+    candidates = ~rejected & (top + 2.0 * rho >= floor)
+    sym = 0.5 * (m_mat + m_mat.T)
+    found = []
+    for size in sorted(set(sizes[candidates].tolist())):
+        combos, _, gather, _ = _support_table(n, size)
+        picked = rows[candidates & (sizes == size)]
+        eigvals, vecs, ok = _eigh_candidates(np.take(sym, gather[picked]), True)
+        found.append((eigvals[ok, size - 1], combos[picked][ok], vecs[ok]))
+    return _best_candidate(found, True, n)
 
 
 def _best_candidate(accepted, maximize, n):
@@ -893,16 +1024,24 @@ def extremize_quadratic_over_cone(
             raise DimensionError(f"exact orthant enumeration is limited to EXACT_ENUM_LIMIT = "
                                  f"{EXACT_ENUM_LIMIT} coordinates, got {cone.dim}")
         conj = signs[:, None] * m_mat * signs[None, :]
-        cap = table = None
+        cap = table = result = None
         if _factor is not None:
             cap = cone.dim - len(_factor) if maximize else len(_factor)
             if maximize:
                 table = _route_table(cone, _factor) if _table is _BUILD else _table
-        val, y = _enumerate_orthant_extremum(conj, maximize, table, cap)
+        # 2r < n: the smaller side, whose table primal_dual_angles builds from its own basis.
+        if (table is not None and len(_factor) <= CELL_ROUTE_MAX_RANK
+                and 2 * len(_factor) < cone.dim):
+            result = _cell_extremum(conj, _factor * signs, table)
+        route = "cells" if result is not None else "enumeration" if table is None else "table"
+        if result is None:
+            result = _enumerate_orthant_extremum(conj, maximize, table, cap)
+        val, y = result
         return QuadraticExtremum(value=val, point=signs * y, method="exact",
-                                 converged_values=np.array([val]))
+                                 converged_values=np.array([val]), route=route)
     val, x, values = _multistart_extremum(m_mat, cone, maximize, seed, multistart_count)
-    return QuadraticExtremum(value=val, point=x, method="multistart", converged_values=values)
+    return QuadraticExtremum(value=val, point=x, method="multistart", converged_values=values,
+                             route="multistart")
 
 
 @dataclass(frozen=True)

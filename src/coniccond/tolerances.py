@@ -63,6 +63,17 @@ SIGN_CERT_COND_LIMIT = 1e8
 # the margin this adds is far below the sign entries it compares.  The inverse needs none of
 # it: its error enters only through the residual bound of INVERSE_ROUNDING.
 SIGN_CERT_ROUNDING = 1e-13
+# Rounding budget of the cell route (cones._cell_extremum), about 450 eps.  For a support P
+# and a basis B with r <= 16 rows, the computed r x r matrix G_P = B_P B_P^T and the
+# computed |P| x |P| matrix M_P = (B^T B)[P, P] that the enumeration solves each lie within
+# this times nu = tr G_P (>= ||G_P|| = ||M_P||) of the exact ones, counting eigh's backward
+# error with them: above the |P| eps nu of summing the outer products b_i b_i^T, the
+# r |P| eps nu of the entries of B^T B and LAPACK's p(n) eps ||G|| (n <= 16).  So the top
+# eigenvalues computed from G_P and from M_P lie within twice this times nu of each other
+# (Weyl), and each computed top eigenvector errs by at most this times nu over the gap
+# (Davis-Kahan; LAPACK's p(n) eps ||G|| / gap).  The unit vector B_P^T y read off a computed
+# y adds this once more, above its (r + 2) r^(1/2) eps, since tr G_P <= r lambda_max(G_P).
+CELL_ROUNDING = 1e-13
 # A ray rho of the realizable table (cones._realizable_supports) with ||rho|| this small
 # relative to its columns, or an off-ray entry of B^T rho within this plus the ray's error
 # bound of zero, voids general position.

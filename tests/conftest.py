@@ -28,6 +28,20 @@ def orthant_like(blocks):
     return factors[0] if len(factors) == 1 else Product(factors)
 
 
+def row_basis(a):
+    """Orthonormal rows spanning the rows of a full-rank a."""
+    u, _, vh = np.linalg.svd(a, full_matrices=False)
+    return u @ vh
+
+
+def near_face(rng, signs, eps):
+    """A point of a random face of the sign-orthant {signs * x >= 0}, moved off by eps."""
+    n = len(signs)
+    face = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.6)
+    face[rng.integers(n)] = 1.0
+    return signs * face + eps * rng.standard_normal(n)
+
+
 def random_matrix(rng, m, n):
     return gaussian_matrix(rng, m, n)
 

@@ -27,7 +27,7 @@ from coniccond import (
     dual_cone,
     subspace_from_rowspan,
 )
-from coniccond.cones import (ANGLE_THRESHOLD, GORDAN_MARGIN, _angle_of_cos2,
+from coniccond.cones import (ANGLE_THRESHOLD, GORDAN_MARGIN, _angle_of_cos2, _cell_extremum,
                              _enumerate_orthant_extremum, _sign_rejections, _spd_inverse,
                              extremize_quadratic_over_cone, primal_dual_angles)
 from conftest import (full_orthant_extremum, orthant_like, random_matrix, random_orthogonal,
@@ -228,19 +228,24 @@ class TestSideOrder:
     def test_touching_table_side_is_never_enumerated(self, instance):
         # The strict side equals its own exact solve bit for bit, and a side
         # whose realizable table marks the full support (its subspace meets
-        # the cone's interior) is not solved.
+        # the cone's interior) is not solved, by the enumeration or by the
+        # cell route.
         cone, a = instance
         w = subspace_from_rowspan(a)
         sides = {"primal": (cone, w), "dual": (dual_cone(cone), complement(w))}
-        original = _enumerate_orthant_extremum
-        signature = inspect.signature(original)
         tables = []
 
-        def spy(*args, **kwargs):
-            tables.append(signature.bind(*args, **kwargs).arguments.get("realizable"))
-            return original(*args, **kwargs)
+        def spy(original):
+            signature = inspect.signature(original)
 
-        with mock.patch.object(coniccond.cones, "_enumerate_orthant_extremum", spy):
+            def call(*args, **kwargs):
+                tables.append(signature.bind(*args, **kwargs).arguments.get("realizable"))
+                return original(*args, **kwargs)
+            return call
+
+        with mock.patch.object(coniccond.cones, "_enumerate_orthant_extremum",
+                               spy(_enumerate_orthant_extremum)), \
+                mock.patch.object(coniccond.cones, "_cell_extremum", spy(_cell_extremum)):
             analysis = analyze(cone, None, a=a)
         assert tables
         assert not any(table is not None and table[-1] for table in tables)

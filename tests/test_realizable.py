@@ -10,36 +10,22 @@ from hypothesis import strategies as st
 
 import coniccond.cones
 from coniccond import Orthant, Subspace, cone_subspace_angle, subspace_from_rowspan
-from coniccond.cones import (_BUILD, REALIZABLE_MIN_DIM, _angle_of_cos2, _enumerate_orthant_extremum,
-                             _realizable_supports, _route_table, extremize_quadratic_over_cone,
-                             primal_dual_angles)
+from coniccond.cones import (_BUILD, CELL_ROUTE_MAX_RANK, REALIZABLE_MIN_DIM, _angle_of_cos2,
+                             _enumerate_orthant_extremum, _realizable_supports, _route_table,
+                             extremize_quadratic_over_cone, primal_dual_angles)
 from coniccond.grassmann import complement
 from coniccond.tolerances import GORDAN_MARGIN
-from conftest import (STRUCTURED_KINDS, count_decided, full_orthant_minimum, orthant_like,
-                      reference_realizable_supports, structured_matrix)
-
-
-def _row_basis(a):
-    """Orthonormal rows spanning the rows of a full-rank a."""
-    u, _, vh = np.linalg.svd(a, full_matrices=False)
-    return u @ vh
+from conftest import (STRUCTURED_KINDS, count_decided, full_orthant_minimum, near_face,
+                      orthant_like, reference_realizable_supports, row_basis, structured_matrix)
 
 
 def _gaussian_basis(n, r, seed):
-    return _row_basis(np.random.default_rng(seed).standard_normal((r, n)))
+    return row_basis(np.random.default_rng(seed).standard_normal((r, n)))
 
 
 def _cover_bound(n, r):
     """Cover's (1965) bound on the cells of n central hyperplanes in R^r."""
     return 2 * sum(math.comb(n - 1, k) for k in range(r))
-
-
-def _near_face(rng, signs, eps):
-    """A point of a random face of the sign-orthant {signs * x >= 0}, moved off by eps."""
-    n = len(signs)
-    face = np.abs(rng.standard_normal(n)) * (rng.random(n) < 0.6)
-    face[rng.integers(n)] = 1.0
-    return signs * face + eps * rng.standard_normal(n)
 
 
 @st.composite
@@ -59,7 +45,7 @@ def arrangements(draw):
     kind = draw(st.sampled_from(["generic", "boundary", "zero column", "duplicated column"]))
     if kind == "boundary":
         eps = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3]))
-        a[0] = _near_face(rng, cone.orthant_signs, eps)
+        a[0] = near_face(rng, cone.orthant_signs, eps)
     elif kind == "zero column":
         a[:, rng.integers(n)] = 0.0
     elif kind == "duplicated column":
@@ -67,7 +53,7 @@ def arrangements(draw):
         a[:, i] = a[:, j]
     if np.linalg.matrix_rank(a) < r:
         a = rng.standard_normal((r, n))
-    return cone, _row_basis(a)
+    return cone, row_basis(a)
 
 
 class TestRealizableRoute:
@@ -183,7 +169,7 @@ class TestTableOracle:
         for _ in range(2000):
             n = int(rng.integers(7, 13))
             r = int(rng.integers(2, n // 2 + 1))
-            basis = _row_basis(rng.standard_normal((r, n)))
+            basis = row_basis(rng.standard_normal((r, n)))
             table, reference = _realizable_supports(basis), reference_realizable_supports(basis)
             assert reference is not None
             assert table is not None and np.array_equal(table, reference), (n, r)
@@ -218,6 +204,21 @@ def _decided_by_size(monkeypatch, *args, **kwargs):
     _, decided, _ = count_decided(monkeypatch,
                                   lambda: extremize_quadratic_over_cone(*args, **kwargs))
     return dict(decided)
+
+
+def _eigh_batches(monkeypatch, call):
+    """call(), and the (matrices, size) of each eigh call it makes, in order."""
+    eigh, batches = np.linalg.eigh, []
+
+    def counted_eigh(subs):
+        batches.append((len(subs), subs.shape[-1]))
+        return eigh(subs)
+
+    monkeypatch.setattr(coniccond.cones.np.linalg, "eigh", counted_eigh)
+    try:
+        return call(), batches
+    finally:
+        monkeypatch.undo()
 
 
 def _supports_up_to(n, size):
@@ -271,8 +272,9 @@ class TestFullRouteFallback:
         basis = _gaussian_basis(n, r, seed=n + r)
         table = _realizable_supports(basis)
         assert table is not None
-        _, by_size, solved = count_decided(monkeypatch, lambda: extremize_quadratic_over_cone(
-            basis.T @ basis, Orthant(n), True, _factor=basis))
+        # The table enumeration, called with the table and cap the dispatch passes it.
+        _, by_size, solved = count_decided(monkeypatch, lambda: _enumerate_orthant_extremum(
+            basis.T @ basis, True, table, n - r))
         decided = sum(by_size.values())
         if (n, r) == (8, 4):
             # Strict: the 83 of its 128 cells with at most n - r = 4 coordinates.
@@ -284,13 +286,33 @@ class TestFullRouteFallback:
         if (n, r) == (12, 6):
             # The sign certificate settles most of them without eigh.
             assert sum(solved.values()) < decided
+        ext, batches = _eigh_batches(monkeypatch, lambda: extremize_quadratic_over_cone(
+            basis.T @ basis, Orthant(n), True, _factor=basis))
+        if r <= CELL_ROUTE_MAX_RANK:
+            # The cell route: one batch of the 43 cells' 3 x 3 matrices, then the 7
+            # supports whose values come within the margin of 1: three of 5
+            # coordinates, three of 6 and the full support.
+            assert ext.route == "cells"
+            assert batches == [(43, 3), (3, 5), (3, 6), (1, 7)]
+        else:
+            # Above the cell route's rank the dispatch decides what the table enumeration does.
+            assert ext.route == "table"
+            assert _decided_by_size(monkeypatch, basis.T @ basis, Orthant(n), True,
+                                    _factor=basis) == dict(by_size)
 
     def test_generic_basis_solves_only_realizable_supports(self, monkeypatch):
         # Strict: the 88 of its 92 cells with at most n - r = 7 coordinates.
         basis = _gaussian_basis(10, 3, seed=1)
-        decided = self._decided(monkeypatch, basis.T @ basis, Orthant(10), True,
-                                _factor=basis)
-        assert decided == _cells_up_to(_realizable_supports(basis), 7) == 88
+        table = _realizable_supports(basis)
+        _, by_size, _ = count_decided(monkeypatch, lambda: _enumerate_orthant_extremum(
+            basis.T @ basis, True, table, 7))
+        assert sum(by_size.values()) == _cells_up_to(table, 7) == 88
+        # The cell route: one batch of the 92 cells' 3 x 3 matrices, then only the
+        # winner, a support of 6 coordinates, solved again.
+        ext, batches = _eigh_batches(monkeypatch, lambda: extremize_quadratic_over_cone(
+            basis.T @ basis, Orthant(10), True, _factor=basis))
+        assert ext.route == "cells"
+        assert batches == [(92, 3), (1, 6)]
 
     @pytest.mark.parametrize("degeneracy", ["zero column", "duplicated column", "boundary point"])
     def test_non_general_position_takes_the_full_route(self, monkeypatch, degeneracy):
@@ -302,7 +324,7 @@ class TestFullRouteFallback:
         else:
             # W through a point of the orthant with four zero coordinates.
             a[0] = [1.0, 0.5, 2.0, 0.0, 0.0, 1.5, 0.0, 0.3, 0.0, 1.0]
-        basis = _row_basis(a)
+        basis = row_basis(a)
         assert _realizable_supports(basis) is None
         assert reference_realizable_supports(basis) is None
         decided = self._decided(monkeypatch, basis.T @ basis, Orthant(10), True,
@@ -368,7 +390,7 @@ class TestStrictCap:
         # through the orthant's interior, dimension 9 and too large for a table.
         a = np.random.default_rng(0).standard_normal((3, 12))
         a[0] = np.abs(a[0])
-        w = complement(Subspace(_row_basis(a)))
+        w = complement(Subspace(row_basis(a)))
         decided = _decided_by_size(monkeypatch, w.projector(), Orthant(12), True, _factor=w.basis)
         assert sorted(decided) == [1, 2, 3]
         assert sum(decided.values()) == _supports_up_to(12, 3) == 298
@@ -381,8 +403,8 @@ class TestStrictCap:
         n, r = 10, 3
         rng = np.random.default_rng(8)
         a = rng.standard_normal((r, n))
-        a[0] = _near_face(rng, np.ones(n), eps=1e-9)
-        basis = _row_basis(a)
+        a[0] = near_face(rng, np.ones(n), eps=1e-9)
+        basis = row_basis(a)
         projector = basis.T @ basis
         assert _realizable_supports(basis) is None
         _, capped = _enumerate_orthant_extremum(projector, True, _sizes_at_most(n, n - r))
