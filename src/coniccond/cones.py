@@ -29,13 +29,15 @@ the intersection of a cone with the unit sphere:
   proves by Gordan's alternative that no larger support can be accepted;
   otherwise the larger sizes are solved too and selected as the full
   enumeration does;
-* a minimum skips the supports that Cauchy interlacing shows cannot
-  attain it;
 * within that cap, where K_F is positive definite, a batch of supports
   first takes a sign certificate (_sign_rejections): one batched
   inverse and a few steps of inverse iteration prove that most
   supports' eigenvectors have entries of both signs, so eigh, which
   would reject them, solves only the rest;
+* both extrema skip the supports that Cauchy interlacing shows cannot
+  attain them, bounded by eigh's extreme eigenvalue where a larger
+  support was solved and by the sign certificate's where it was
+  rejected;
 * the returned point comes from the lexicographically smallest accepted
   support whose computed value is the extremum, so it attains the value
   returned with it;
@@ -63,6 +65,7 @@ between calls (see the comment at the block).
 from __future__ import annotations
 
 import abc
+import collections
 import enum
 import functools
 import itertools
@@ -445,6 +448,11 @@ class QuadraticExtremum:
     method: str                 # "exact" | "multistart"
     converged_values: np.ndarray  # converged runs' values, best first, possibly empty; exact: one
     route: str                  # "cells" | "table" | "enumeration" | "multistart"
+    # What an exact route cost, 0 for multistart: the matrices eigh solved, the
+    # supports the sign certificate rejected and those the interlacing cascade pruned.
+    solved: int
+    rejected: int
+    pruned: int
 
 
 def _angle_of_cos2(lam: float) -> float:
@@ -605,7 +613,8 @@ def _inverse_norm_bound(mats, inverse, scale):
         return np.where(e < 1.0, x_norm / (1.0 - e), np.nan)
 
 
-def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=None, cap=None):
+def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=None, cap=None,
+                                tally=None):
     """Exact extremum of y^T M y over unit y >= 0 by support enumeration.
 
     The extremizer restricted to its support F is an eigenvector of
@@ -615,10 +624,10 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
     value is the extremum.  Sizes are visited from n down to 1; neither
     the value nor the point depends on that order.
 
-    With ``realizable`` (a table from _realizable_supports, or the
-    complement of the other side's, for a maximum only) only the supports
-    it marks are solved, each as in the full enumeration, so an accepted
-    value keeps its bits.
+    With ``realizable`` (for a maximum a table from _realizable_supports,
+    or the complement of the other side's) only the supports it marks are
+    solved, each as in the full enumeration, so an accepted value keeps
+    its bits.
 
     With ``cap`` = k, the rank of a positive semidefinite form K: K = M
     for a minimum (M = A^T A, A with k rows), K = I - M for a maximum (M
@@ -634,16 +643,20 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
     the bits of the full enumeration.  Otherwise the larger sizes are
     solved as well, and the best candidate of every size is returned.
 
-    Every route keeps one table of skipped supports, which starts as the
-    supports ``realizable`` leaves out.  A minimum also skips every
-    support T with a one-larger superset S that was skipped itself or
-    whose lambda_min exceeds the best accepted value by more than
-    ``margin``.  By Cauchy interlacing lambda_min(M_T) >= lambda_min(M_S).
-    A computed eigenvalue errs by about n eps ||M||, far below
-    INTERLACING_MARGIN max(1, ||M||_inf), so a skipped support's computed
-    value would exceed the final best: it could not attain the extremum,
-    and the result keeps its bits.  A minimum refuses a table, whose
-    holes that cascade would spread.
+    Both extrema prune by Cauchy interlacing: for T in S, lambda_min(M_T)
+    >= lambda_min(M_S) and lambda_max(M_T) <= lambda_max(M_S).  After each
+    size, every support it reached whose bound on the extreme eigenvalue
+    (lambda_min from below for a minimum, lambda_max from above for a
+    maximum) lies beyond the best accepted value by more than ``margin``
+    = 2 INTERLACING_MARGIN max(1, ||K||) is marked dominated.  Before each
+    size, every support with a dominated one-larger superset is marked
+    too and skipped.  A computed eigenvalue errs by about n eps ||M||,
+    far below the margin, and the best value only improves, so a
+    dominated support's computed value could neither attain nor tie the
+    final extremum, and the result keeps its bits.  The dominated table
+    is kept apart from the holes of ``realizable``: a hole is skipped but
+    bounds nothing, so holes never cascade, and a minimum may take a
+    table too.
 
     Within the cap (with ``cap`` = k, the sizes of at most k
     coordinates), where K_F = M_F for a minimum and I - M_F for a maximum
@@ -653,21 +666,26 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
     eigenvector eigh would find unsignable, so eigh solves only the
     others, and accepted candidates still come from eigh alone with the
     same bits.  For a rejected support the cascade reads the
-    certificate's lower bound on lambda_min in place of eigh's value; it
-    is never larger, so the cascade can only skip fewer supports, and the
-    result keeps its bits.
+    certificate's lower bound on lambda_min(K_F) in place of eigh's
+    value: that bound itself for a minimum, 1 minus it for a maximum's
+    lambda_max.  Either is a valid bound, so the result keeps its bits.
+
+    ``tally``, a collections.Counter, gains the supports eigh solved
+    ("solved"), those the certificate rejected ("rejected") and those the
+    cascade skipped that ``realizable`` marks ("pruned").
     """
-    if realizable is not None and not maximize:
-        raise ValueError("a realizable table serves only a maximum")
     n = m_mat.shape[0]
     sym = 0.5 * (m_mat + m_mat.T)
-    skipped = np.zeros(1 << n, dtype=bool) if realizable is None else ~realizable
+    holes = np.zeros(1 << n, dtype=bool) if realizable is None else ~realizable
+    dominated = np.zeros(1 << n, dtype=bool)
+    # The cascade compares sign * value, so that a smaller one is better for both extrema.
+    sign = -1.0 if maximize else 1.0
     best = np.inf
     # A bound on ||K||: the largest absolute row sum of K = M, or 1 for the
     # projector I - M.
     norm_k = 1.0 if maximize else float(np.abs(sym).sum(axis=1).max())
-    if not maximize:
-        margin = 2.0 * INTERLACING_MARGIN * max(1.0, norm_k)
+    margin = 2.0 * INTERLACING_MARGIN * max(1.0, norm_k)
+    tally = collections.Counter() if tally is None else tally
     # Accepted (values, supports, vectors) by support size; a 1x1
     # eigenvector can always be signed, so size 1 accepts every row.
     accepted_by_size = {}
@@ -676,30 +694,34 @@ def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=No
         nonlocal best
         for size in sizes:
             combos, masks, gather, supersets = _support_table(n, size)
-            if not maximize:
-                skipped[masks] = skipped[supersets].any(axis=1)
-            keep = ~skipped[masks]
-            combos, masks, gather = combos[keep], masks[keep], gather[keep]
+            dominated[masks] = dominated[supersets].any(axis=1)
+            keep = ~holes[masks]
+            reached = keep & ~dominated[masks]
+            tally["pruned"] += int(np.count_nonzero(keep)) - int(np.count_nonzero(reached))
+            combos, masks, gather = combos[reached], masks[reached], gather[reached]
             if not len(combos):
                 continue
             subs = np.take(sym, gather)
-            # lambda_min of K = M_F for a minimum, or a lower bound on it.
-            lows = np.empty(len(combos))
+            # sign times a bound on the extreme eigenvalue: lambda_min from below for a
+            # minimum, lambda_max from above for a maximum.
+            bounds = np.empty(len(combos))
             solved = np.ones(len(combos), dtype=bool)
             if cap is not None and size <= cap and len(combos) >= SIGN_CERT_MIN_BATCH:
-                rejected, bound = _sign_rejections(subs, maximize)
+                rejected, lower = _sign_rejections(subs, maximize)
                 solved = ~rejected
-                lows[rejected] = bound[rejected]
+                # lower bounds lambda_min(K_F); K_F = I - M_F for a maximum.
+                bounds[rejected] = (lower - 1.0 if maximize else lower)[rejected]
                 combos, subs = combos[solved], subs[solved]
             lams = np.empty(0)
             if len(combos):
                 eigvals, vecs, accepted = _eigh_candidates(subs, maximize)
-                lows[solved] = eigvals[:, 0]
+                bounds[solved] = sign * eigvals[:, size - 1 if maximize else 0]
                 lams = eigvals[accepted, size - 1 if maximize else 0]
                 accepted_by_size[size] = (lams, combos[accepted], vecs[accepted])
-            if not maximize:
-                best = min(best, float(lams.min(initial=np.inf)))
-                skipped[masks[lows > best + margin]] = True
+            tally["solved"] += len(combos)
+            tally["rejected"] += len(solved) - len(combos)
+            best = min(best, float((sign * lams).min(initial=np.inf)))
+            dominated[masks[bounds > best + margin]] = True
 
     def certified(x):
         """Whether w = K x' exceeds GORDAN_MARGIN (||K|| x'^T K x')^(1/2) in every entry."""
@@ -812,12 +834,14 @@ def _cell_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return masks, sizes, rows
 
 
-def _cell_extremum(m_mat, basis, realizable):
+def _cell_extremum(m_mat, basis, realizable, tally=None):
     """max y^T M y over unit y >= 0 from the r x r matrices of the supports, or None.
 
     M = B^T B for ``basis`` B (r rows).  Returns (value, point) with the
     bits of _enumerate_orthant_extremum(M, True, realizable), or None
-    where the bound below cannot decide.
+    where the bound below cannot decide.  ``tally``, a
+    collections.Counter, gains the matrices eigh solves ("solved"), each
+    cell's and each support's solved again.
 
     For a support P, G_P = B_P B_P^T and M_P = B_P^T B_P share their
     nonzero eigenvalues mu_1 >= mu_2 >= ..., so M_P's second eigenvalue is
@@ -861,6 +885,8 @@ def _cell_extremum(m_mat, basis, realizable):
     outer = (basis[:, None, :] * basis[None, :, :]).reshape(r * r, n)   # b_i b_i^T by column
     gram = (outer @ inside).T.reshape(len(masks), r, r)
     mu, ys = np.linalg.eigh(gram)
+    tally = collections.Counter() if tally is None else tally
+    tally["solved"] += len(gram)
     if not np.all(np.isfinite(mu)):
         return None
     top = mu[:, -1]
@@ -885,6 +911,7 @@ def _cell_extremum(m_mat, basis, realizable):
         combos, _, gather, _ = _support_table(n, size)
         picked = rows[candidates & (sizes == size)]
         eigvals, vecs, ok = _eigh_candidates(np.take(sym, gather[picked]), True)
+        tally["solved"] += len(picked)
         found.append((eigvals[ok, size - 1], combos[picked][ok], vecs[ok]))
     return _best_candidate(found, True, n)
 
@@ -1025,6 +1052,7 @@ def extremize_quadratic_over_cone(
                                  f"{EXACT_ENUM_LIMIT} coordinates, got {cone.dim}")
         conj = signs[:, None] * m_mat * signs[None, :]
         cap = table = result = None
+        tally = collections.Counter()
         if _factor is not None:
             cap = cone.dim - len(_factor) if maximize else len(_factor)
             if maximize:
@@ -1032,16 +1060,18 @@ def extremize_quadratic_over_cone(
         # 2r < n: the smaller side, whose table primal_dual_angles builds from its own basis.
         if (table is not None and len(_factor) <= CELL_ROUTE_MAX_RANK
                 and 2 * len(_factor) < cone.dim):
-            result = _cell_extremum(conj, _factor * signs, table)
+            result = _cell_extremum(conj, _factor * signs, table, tally)
         route = "cells" if result is not None else "enumeration" if table is None else "table"
         if result is None:
-            result = _enumerate_orthant_extremum(conj, maximize, table, cap)
+            result = _enumerate_orthant_extremum(conj, maximize, table, cap, tally)
         val, y = result
         return QuadraticExtremum(value=val, point=signs * y, method="exact",
-                                 converged_values=np.array([val]), route=route)
+                                 converged_values=np.array([val]), route=route,
+                                 solved=tally["solved"], rejected=tally["rejected"],
+                                 pruned=tally["pruned"])
     val, x, values = _multistart_extremum(m_mat, cone, maximize, seed, multistart_count)
     return QuadraticExtremum(value=val, point=x, method="multistart", converged_values=values,
-                             route="multistart")
+                             route="multistart", solved=0, rejected=0, pruned=0)
 
 
 @dataclass(frozen=True)

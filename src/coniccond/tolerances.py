@@ -18,9 +18,12 @@ ANGLE_THRESHOLD = 1e-7
 MEMBERSHIP_TOL = 1e-9
 # An eigenvector of a principal submatrix is signable when it dips at most this below zero.
 SIGNABLE_TOL = 1e-9
-# A minimum's interlacing cascade skips a support whose one-larger superset has lambda_min
-# above the best accepted value by more than twice this times max(1, ||M||_inf): far above the
-# n eps ||M|| error of a computed eigenvalue, so a skipped support could not attain the minimum.
+# The interlacing cascade of both exact extrema skips a support whose one-larger superset has
+# its extreme eigenvalue beyond the best accepted value by more than twice this times
+# max(1, ||K||), K = M for a minimum and I - M for a maximum: lambda_min above it for a
+# minimum, lambda_max below it for a maximum, read from eigh or from the sign certificate's
+# bound.  That is far above the n eps ||M|| error of a computed eigenvalue, so a skipped
+# support could neither attain nor tie the extremum.
 INTERLACING_MARGIN = 1e-12
 # An exact extremum skips the supports of more than k coordinates, k the rank of a form K
 # (A^T A for the dual-route minimum, I - P for the maximum of the projector P onto W), when

@@ -1,6 +1,7 @@
 """Realizable supports and the strict cap: which supports an orthant maximum solves."""
 
 import math
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -197,13 +198,17 @@ class TestCellCount:
 
 
 def _decided_by_size(monkeypatch, *args, **kwargs):
-    """{support size: supports decided} for one extremize_quadratic_over_cone call.
+    """({support size: supports decided}, supports pruned) of one extremize_quadratic_over_cone.
 
-    A support is decided when eigh solves it or the sign certificate rejects it.
+    A support is decided when eigh solves it or the sign certificate rejects
+    it, and pruned when the interlacing cascade skips it.  The result's own
+    counts must agree with the spies.
     """
-    _, decided, _ = count_decided(monkeypatch,
-                                  lambda: extremize_quadratic_over_cone(*args, **kwargs))
-    return dict(decided)
+    ext, decided, solved = count_decided(monkeypatch,
+                                         lambda: extremize_quadratic_over_cone(*args, **kwargs))
+    assert ext.solved == sum(solved.values())
+    assert ext.solved + ext.rejected == sum(decided.values())
+    return dict(decided), ext.pruned
 
 
 def _eigh_batches(monkeypatch, call):
@@ -243,29 +248,37 @@ def _cells_up_to(table, size):
 
 
 class TestFullRouteFallback:
-    """Route counts, as supports decided: solved by eigh or rejected by the sign
-    certificate.  A strict side (r = dim W) decides no support of more than n - r
-    coordinates; a side that touches the cone refuses the Gordan certificate and
-    decides every support its route has."""
+    """Route counts, as supports decided (solved by eigh or rejected by the sign
+    certificate) and pruned (skipped by the interlacing cascade).  Decided plus
+    pruned is every support a route reaches: a strict side (r = dim W) reaches no
+    support of more than n - r coordinates; a side that touches the cone refuses
+    the Gordan certificate and reaches every support its route has."""
 
     def _decided(self, monkeypatch, *args, **kwargs):
-        return sum(_decided_by_size(monkeypatch, *args, **kwargs).values())
+        """(supports decided, supports pruned) for one extremize_quadratic_over_cone call."""
+        by_size, pruned = _decided_by_size(monkeypatch, *args, **kwargs)
+        return sum(by_size.values()), pruned
 
     # Strict sides here: every r = 1 and (5, 2); the rest touch.
     STRICT_BELOW_THE_TABLE = {(4, 1), (5, 1), (5, 2), (6, 1)}
+    # Supports decided under the cascade; the rest of each route's supports are pruned.
+    DECIDED_BELOW_THE_TABLE = {(4, 1): 5, (4, 2): 11, (4, 3): 15, (5, 1): 20, (5, 2): 11,
+                               (5, 3): 26, (5, 4): 31, (6, 1): 21, (6, 2): 22, (6, 3): 42,
+                               (6, 4): 57, (6, 5): 63}
 
     @pytest.mark.parametrize("n, r", [(n, r) for n in (4, 5, 6) for r in range(1, n)])
     def test_below_the_table_dimension_solves_every_support(self, monkeypatch, n, r):
         assert n < REALIZABLE_MIN_DIM
         basis = _gaussian_basis(n, r, seed=n + r)
         assert _realizable_supports(basis) is not None
-        decided = self._decided(monkeypatch, basis.T @ basis, Orthant(n), True,
-                                _factor=basis)
+        decided, pruned = self._decided(monkeypatch, basis.T @ basis, Orthant(n), True,
+                                        _factor=basis)
+        assert decided == self.DECIDED_BELOW_THE_TABLE[n, r]
         # No table: (4, 1) 14, (5, 1) 30, (5, 2) 25 and (6, 1) 62 of 2^n - 1.
         if (n, r) in self.STRICT_BELOW_THE_TABLE:
-            assert decided == _supports_up_to(n, n - r)
+            assert decided + pruned == _supports_up_to(n, n - r)
         else:
-            assert decided == 2**n - 1
+            assert decided + pruned == 2**n - 1
 
     @pytest.mark.parametrize("n, r", [(7, 3), (8, 4), (10, 5), (12, 6)])
     def test_half_dimension_subspace_solves_only_realizable_supports(self, monkeypatch, n, r):
@@ -273,16 +286,19 @@ class TestFullRouteFallback:
         table = _realizable_supports(basis)
         assert table is not None
         # The table enumeration, called with the table and cap the dispatch passes it.
+        tally = Counter()
         _, by_size, solved = count_decided(monkeypatch, lambda: _enumerate_orthant_extremum(
-            basis.T @ basis, True, table, n - r))
+            basis.T @ basis, True, table, n - r, tally))
         decided = sum(by_size.values())
+        assert decided == tally["solved"] + tally["rejected"]
+        assert decided == {(7, 3): 22, (8, 4): 38, (10, 5): 313, (12, 6): 1239}[n, r]
         if (n, r) == (8, 4):
             # Strict: the 83 of its 128 cells with at most n - r = 4 coordinates.
-            assert decided == _cells_up_to(table, n - r) == 83
+            assert decided + tally["pruned"] == _cells_up_to(table, n - r) == 83
         else:
             # W meets the interior, so the table marks the full support.
             assert table[-1]
-            assert decided == int(table[1:].sum()) < 2**n - 1
+            assert decided + tally["pruned"] == int(table[1:].sum()) < 2**n - 1
         if (n, r) == (12, 6):
             # The sign certificate settles most of them without eigh.
             assert sum(solved.values()) < decided
@@ -298,15 +314,18 @@ class TestFullRouteFallback:
             # Above the cell route's rank the dispatch decides what the table enumeration does.
             assert ext.route == "table"
             assert _decided_by_size(monkeypatch, basis.T @ basis, Orthant(n), True,
-                                    _factor=basis) == dict(by_size)
+                                    _factor=basis) == (dict(by_size), tally["pruned"])
 
     def test_generic_basis_solves_only_realizable_supports(self, monkeypatch):
-        # Strict: the 88 of its 92 cells with at most n - r = 7 coordinates.
+        # Strict: the 88 of its 92 cells with at most n - r = 7 coordinates, 40
+        # decided and 48 pruned.
         basis = _gaussian_basis(10, 3, seed=1)
         table = _realizable_supports(basis)
+        tally = Counter()
         _, by_size, _ = count_decided(monkeypatch, lambda: _enumerate_orthant_extremum(
-            basis.T @ basis, True, table, 7))
-        assert sum(by_size.values()) == _cells_up_to(table, 7) == 88
+            basis.T @ basis, True, table, 7, tally))
+        assert sum(by_size.values()) == 40
+        assert sum(by_size.values()) + tally["pruned"] == _cells_up_to(table, 7) == 88
         # The cell route: one batch of the 92 cells' 3 x 3 matrices, then only the
         # winner, a support of 6 coordinates, solved again.
         ext, batches = _eigh_batches(monkeypatch, lambda: extremize_quadratic_over_cone(
@@ -327,16 +346,18 @@ class TestFullRouteFallback:
         basis = row_basis(a)
         assert _realizable_supports(basis) is None
         assert reference_realizable_supports(basis) is None
-        decided = self._decided(monkeypatch, basis.T @ basis, Orthant(10), True,
-                                _factor=basis)
+        decided, pruned = self._decided(monkeypatch, basis.T @ basis, Orthant(10), True,
+                                        _factor=basis)
+        assert decided == {"zero column": 546, "duplicated column": 692,
+                           "boundary point": 177}[degeneracy]
         if degeneracy == "boundary point":
             # The boundary point touches.
-            assert decided == 2**10 - 1
+            assert decided + pruned == 2**10 - 1
         else:
             # Strict: every support of at most n - r = 7 coordinates.  With the zero
             # column e_4 lies in W_perp, so (x - P x)_4 = 0; the certificate adds
             # ||x - P x|| e_4, which stays in W_perp.
-            assert decided == _supports_up_to(10, 7) == 967
+            assert decided + pruned == _supports_up_to(10, 7) == 967
             monkeypatch.undo()
             full = _enumerate_orthant_extremum(basis.T @ basis, True)
             ext = extremize_quadratic_over_cone(basis.T @ basis, Orthant(10), True,
@@ -355,25 +376,34 @@ class TestFullRouteFallback:
         assert ext.value == value
         assert np.array_equal(ext.point, point)
 
-    def test_minimum_refuses_a_table(self):
-        # The prune would skip every support below one the table leaves out.
+    def test_minimum_reads_a_table_without_cascading_its_holes(self):
+        # The table leaves out every support of more than 3 coordinates.  Its holes
+        # bound nothing, so the cascade skips no support for them, and the minimum
+        # is the one over the supports of at most 3 coordinates.
         basis = _gaussian_basis(8, 3, seed=1)
-        with pytest.raises(ValueError):
-            _enumerate_orthant_extremum(basis.T @ basis, False, realizable=_sizes_at_most(8, 3))
+        tally = Counter()
+        value, point = _enumerate_orthant_extremum(basis.T @ basis, False,
+                                                   realizable=_sizes_at_most(8, 3), tally=tally)
+        ref_value, ref_point = full_orthant_minimum(basis.T @ basis, max_size=3)
+        assert value == ref_value
+        assert np.array_equal(point, ref_point)
+        assert tally["solved"] + tally["pruned"] == _supports_up_to(8, 3)
 
     def test_no_basis_takes_the_full_route(self, monkeypatch):
         basis = _gaussian_basis(10, 3, seed=1)
-        decided = self._decided(monkeypatch, basis.T @ basis, Orthant(10), True)
-        assert decided == 2**10 - 1
+        decided, pruned = self._decided(monkeypatch, basis.T @ basis, Orthant(10), True)
+        assert decided == 464
+        assert decided + pruned == 2**10 - 1
 
     def test_subspace_above_half_the_dimension_takes_the_full_route(self, monkeypatch):
         # Cover's bound at (10, 6) is 764 of 1024 sign patterns.  W is strict, so
-        # the full route solves every support of at most n - r = 4 coordinates.
+        # the full route reaches every support of at most n - r = 4 coordinates.
         basis = _gaussian_basis(10, 6, seed=1)
         assert _realizable_supports(basis) is not None
-        decided = self._decided(monkeypatch, basis.T @ basis, Orthant(10), True,
-                                _factor=basis)
-        assert decided == _supports_up_to(10, 4) == 385
+        decided, pruned = self._decided(monkeypatch, basis.T @ basis, Orthant(10), True,
+                                        _factor=basis)
+        assert decided == 212
+        assert decided + pruned == _supports_up_to(10, 4) == 385
 
 
 class TestStrictCap:
@@ -382,7 +412,8 @@ class TestStrictCap:
     def test_certified_table_route_solves_no_support_above_n_minus_r(self, monkeypatch):
         basis = _gaussian_basis(12, 6, seed=2)
         assert cone_subspace_angle(Orthant(12), Subspace(basis)).angle > 0.3
-        decided = _decided_by_size(monkeypatch, basis.T @ basis, Orthant(12), True, _factor=basis)
+        decided, _ = _decided_by_size(monkeypatch, basis.T @ basis, Orthant(12), True,
+                                      _factor=basis)
         assert max(decided) == 6
 
     def test_certified_full_route_solves_no_support_above_n_minus_r(self, monkeypatch):
@@ -391,9 +422,11 @@ class TestStrictCap:
         a = np.random.default_rng(0).standard_normal((3, 12))
         a[0] = np.abs(a[0])
         w = complement(Subspace(row_basis(a)))
-        decided = _decided_by_size(monkeypatch, w.projector(), Orthant(12), True, _factor=w.basis)
-        assert sorted(decided) == [1, 2, 3]
-        assert sum(decided.values()) == _supports_up_to(12, 3) == 298
+        decided, pruned = _decided_by_size(monkeypatch, w.projector(), Orthant(12), True,
+                                           _factor=w.basis)
+        # The cascade prunes every support of one coordinate and most of two.
+        assert decided == {2: 3, 3: 220}
+        assert sum(decided.values()) + pruned == _supports_up_to(12, 3) == 298
 
     def test_near_boundary_subspace_refuses_the_certificate(self, monkeypatch):
         # W passes within 2.8e-8 of a point with 8 > n - r = 7 positive
@@ -409,8 +442,11 @@ class TestStrictCap:
         assert _realizable_supports(basis) is None
         _, capped = _enumerate_orthant_extremum(projector, True, _sizes_at_most(n, n - r))
         assert (capped - projector @ capped).min() <= GORDAN_MARGIN
-        decided = _decided_by_size(monkeypatch, projector, Orthant(n), True, _factor=basis)
-        assert decided == {size: math.comb(n, size) for size in range(1, n + 1)}
+        decided, pruned = _decided_by_size(monkeypatch, projector, Orthant(n), True,
+                                           _factor=basis)
+        # Sizes 8 to 10 are reached, and the cascade prunes all but the winner below 7.
+        assert decided == {6: 1, 7: 120, 8: 45, 9: 10, 10: 1}
+        assert sum(decided.values()) + pruned == 2**n - 1
         monkeypatch.undo()
         full = _enumerate_orthant_extremum(projector, True)
         ext = extremize_quadratic_over_cone(projector, Orthant(n), True, _factor=basis)
@@ -429,8 +465,10 @@ class TestStrictCap:
         _, capped = _enumerate_orthant_extremum(projector, True, _sizes_at_most(5, 4))
         w = capped - projector @ capped
         assert 0.0 < w.min() < GORDAN_MARGIN * math.sqrt(capped @ w)
-        decided = _decided_by_size(monkeypatch, projector, Orthant(5), True, _factor=basis)
-        assert decided == {size: math.comb(5, size) for size in range(1, 6)}
+        decided, pruned = _decided_by_size(monkeypatch, projector, Orthant(5), True,
+                                           _factor=basis)
+        assert decided == {3: 10, 4: 5, 5: 1}
+        assert sum(decided.values()) + pruned == 2**5 - 1
         monkeypatch.undo()
         full = _enumerate_orthant_extremum(projector, True)
         ext = extremize_quadratic_over_cone(projector, Orthant(5), True, _factor=basis)
