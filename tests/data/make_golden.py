@@ -53,6 +53,11 @@ CASES = (
     ("orthant-5x10-primal-strict", "orthant:10", gaussian_case(2, 5, 10)),
     ("orthant-7x10-dual-strict", "orthant:10", gaussian_case(0, 7, 10)),
     ("orthant-7x10-primal-strict", "orthant:10", gaussian_case(74, 7, 10)),
+    # Wide caps of the wide route at more orthant-report shapes, each
+    # supported by m columns with radius above pi/2.
+    ("orthant-2x6-primal-strict", "orthant:6", gaussian_case(0, 2, 6)),
+    ("orthant-3x8-primal-strict", "orthant:8", gaussian_case(0, 3, 8)),
+    ("orthant-3x10-primal-strict", "orthant:10", gaussian_case(0, 3, 10)),
 )
 EXPERIMENT = dict(n=8, m=4, trials=40, seed=0)
 # Dual strict trials at n = 12 take the pruned, rank-capped dual-route minimum.
