@@ -184,7 +184,7 @@ class Cone(abc.ABC):
 
     @abc.abstractmethod
     def spec(self) -> str:
-        """Textual form; parseable back for the grammar cones."""
+        """Textual form; parse_cone reads it back to an equal cone."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec()!r})"
@@ -402,28 +402,20 @@ def dual_cone(cone: Cone) -> Cone:
 
 
 def parse_cone(text: str) -> Cone:
-    """Parse ``orthant:n`` / ``lorentz:n`` / ``product(spec,...)``, case-insensitive."""
+    """Parse ``orthant:n``, ``lorentz:n``, ``product(spec,...)`` or ``negated(spec)``, any case.
+
+    Every cone's ``spec()`` parses back to an equal cone, nested at any depth.
+    """
     spec = text.strip().lower()
     if not spec:
         raise ConeSpecError("empty cone specification")
     if spec.startswith("product"):
-        body = spec[len("product"):].strip()
-        if not (body.startswith("(") and body.endswith(")")):
-            raise ConeSpecError(f"malformed product specification: {text!r}")
-        inner = body[1:-1]
-        parts, depth, start = [], 0, 0
-        for i, ch in enumerate(inner):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append(inner[start:i])
-                start = i + 1
-        parts.append(inner[start:])
-        if depth != 0:
-            raise ConeSpecError(f"unbalanced parentheses in {text!r}")
-        return Product([parse_cone(p) for p in parts])
+        return Product([parse_cone(p) for p in _arguments(spec, "product", text)])
+    if spec.startswith("negated"):
+        parts = _arguments(spec, "negated", text)
+        if len(parts) != 1:
+            raise ConeSpecError(f"negated takes one cone in {text!r}")
+        return Negated(parse_cone(parts[0]))
     name, sep, arg = spec.partition(":")
     if sep != ":":
         raise ConeSpecError(f"expected 'name:dim' in {text!r}")
@@ -437,6 +429,28 @@ def parse_cone(text: str) -> Cone:
     if name == "lorentz":
         return Lorentz(n)
     raise ConeSpecError(f"unknown cone {name!r} in {text!r}")
+
+
+def _arguments(spec: str, name: str, text: str) -> list[str]:
+    """The top-level comma-separated parts of ``name(part,...)``, for parse_cone."""
+    body = spec[len(name):].strip()
+    if not (body.startswith("(") and body.endswith(")")):
+        raise ConeSpecError(f"malformed {name} specification: {text!r}")
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(body[1:-1]):
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                break
+        elif ch == "," and depth == 0:
+            parts.append(body[1 + start:1 + i])
+            start = i + 1
+    if depth != 0:
+        raise ConeSpecError(f"unbalanced parentheses in {text!r}")
+    parts.append(body[1 + start:-1])
+    return parts
 
 
 @dataclass(frozen=True)
@@ -599,10 +613,18 @@ def _spd_inverse(mats):
 def _inverse_norm_bound(mats, inverse, scale):
     """An upper bound on ||K^-1||_F for each K of a stack, from its computed inverse X, or NaN.
 
+    The first array of _inverse_residual.
+    """
+    return _inverse_residual(mats, inverse, scale)[0]
+
+
+def _inverse_residual(mats, inverse, scale):
+    """(bound, e) for each K of a stack: bound >= ||K^-1||_F (or NaN) and e >= ||I - K X||_F.
+
     K X = I - E gives K^-1 = X (I - E)^-1, so ||K^-1||_F <= ||X||_F / (1 - e)
     for any e >= ||E||_F below 1.  e is the computed ||I - K X||_F plus
     INVERSE_ROUNDING times ``scale`` ||X||_F, ``scale`` a bound on ||K||_F
-    (see INVERSE_ROUNDING); NaN where e >= 1 or X is not finite.
+    (see INVERSE_ROUNDING); the bound is NaN where e >= 1 or X is not finite.
     """
     with np.errstate(all="ignore"):
         x_norm = np.sqrt(np.einsum("bij,bij->b", inverse, inverse))
@@ -610,7 +632,7 @@ def _inverse_norm_bound(mats, inverse, scale):
         residual = mats @ inverse                     # K X, then K X - I in place
         residual.reshape(len(mats), k * k)[:, ::k + 1] -= 1.0
         e = np.sqrt(np.einsum("bij,bij->b", residual, residual)) + INVERSE_ROUNDING * scale * x_norm
-        return np.where(e < 1.0, x_norm / (1.0 - e), np.nan)
+        return np.where(e < 1.0, x_norm / (1.0 - e), np.nan), e
 
 
 def _enumerate_orthant_extremum(m_mat: np.ndarray, maximize: bool, realizable=None, cap=None,

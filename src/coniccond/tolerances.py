@@ -50,7 +50,9 @@ GORDAN_MARGIN = 1e-6
 # ||K||_F, or tr K where K = F F^T is formed from a factor: about 450 eps, above the k eps
 # |K| |X| rounding of the residual and the k eps |F| |F^T| rounding of such a K (k <= 16).
 # The realizable table also allows this times ||b|| for the k eps rounding of each product
-# b^T v it reads off a computed unit ray v.
+# b^T v it reads off a computed unit ray v.  The wide GCC route (gcc._approximate_centers)
+# allows this times ||A||_F ||X||_F for the 2 k^1.5 eps rounding of the products A^T (X 1),
+# and this once more for the normalization of that vector.
 INVERSE_ROUNDING = 1e-13
 # The sign certificate (cones._sign_rejections) proves from a batched inverse of a positive
 # definite K that the lambda_min eigenvector of K has entries of both signs beyond
@@ -127,7 +129,7 @@ CAP_TIE_TOL = 1e-12
 CAP_BOUNDARY_TOL = 1e-8
 # A cap radius within this of pi/2 makes the GCC condition infinite.
 RIGHT_ANGLE_TOL = 1e-9
-# The wide route's certificate (gcc._wide_certificate) takes a computed cosine p . c of unit
+# The wide GCC route's certificate (gcc._wide_route) takes a computed cosine p . c of unit
 # vectors, p a point and c a center (both with squared norms within a quarter of this of 1,
 # or the route is not taken), to be within this of the exact cosine of their directions:
 # about 45 eps, above the (m + 2) eps of the dot product and the norms' share for m <= 16.

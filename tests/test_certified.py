@@ -6,11 +6,12 @@ without eigh are ones eigh rejects too, so no result changes a bit.
 
 import inspect
 import itertools
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -28,8 +29,8 @@ from coniccond import (
     subspace_from_rowspan,
 )
 from coniccond.cones import (ANGLE_THRESHOLD, GORDAN_MARGIN, _angle_of_cos2, _cell_extremum,
-                             _enumerate_orthant_extremum, _sign_rejections, _spd_inverse,
-                             extremize_quadratic_over_cone, primal_dual_angles)
+                             _enumerate_orthant_extremum, _gordan_zero, _sign_rejections,
+                             _spd_inverse, extremize_quadratic_over_cone, primal_dual_angles)
 from conftest import (full_orthant_extremum, orthant_like, random_matrix, random_orthogonal,
                       reference_decisions, stream)
 
@@ -222,37 +223,85 @@ def gaussian_instances(draw):
     return cone, rng.standard_normal((m, cone.dim))
 
 
+def boundary_kkt_instance():
+    """(cone, a): a dual strict instance whose dual witness leaves Gordan's vector on the boundary.
+
+    The cone is Product([Orthant(1), Negated(Orthant(5)), Negated(Orthant(6))]) and a is
+    8 x 12.  In the frame where the cone is the orthant, x = e_0 minimizes ||P_W x|| over
+    unit x >= 0 at sin^2 = 0.05, with P_W x = 0.05 e_0 + nu, nu >= 0 and nu_1 = 0: W holds
+    P_W x and a random 7-dimensional subspace orthogonal to it and to x - P_W x.  So the dual
+    side is strict at angle 0.2255, and v = P y - y of _gordan_zero has a zero entry: the
+    primal side touches, but v is on the cone's boundary, not inside it.
+    """
+    cone = orthant_like([(True, 1), (False, 5), (False, 6)])
+    n, k, sigma = 12, 8, 0.05
+    rng = np.random.default_rng(0)
+    x = np.eye(n)[0]
+    nu = np.abs(rng.standard_normal(n))
+    nu[:2] = 0.0
+    nu *= np.sqrt(sigma * (1.0 - sigma)) / np.linalg.norm(nu)
+    v = sigma * x + nu
+    frame = np.linalg.qr(np.column_stack([v, x - v, rng.standard_normal((n, n - 2))]))[0]
+    rest = frame[:, 2:] @ np.linalg.qr(rng.standard_normal((n - 2, k - 1)))[0]
+    basis = np.column_stack([v / np.linalg.norm(v), rest]).T
+    return cone, rng.standard_normal((k, k)) @ (basis * cone.orthant_signs)
+
+
+def analyze_with_tables(cone, a):
+    """(analysis, tables): analyze's result and the realizable table of every exact solve."""
+    tables = []
+
+    def spy(original):
+        signature = inspect.signature(original)
+
+        def call(*args, **kwargs):
+            tables.append(signature.bind(*args, **kwargs).arguments.get("realizable"))
+            return original(*args, **kwargs)
+        return call
+
+    with mock.patch.object(coniccond.cones, "_enumerate_orthant_extremum",
+                           spy(_enumerate_orthant_extremum)), \
+            mock.patch.object(coniccond.cones, "_cell_extremum", spy(_cell_extremum)):
+        analysis = analyze(cone, None, a=a)
+    return analysis, tables
+
+
 class TestSideOrder:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(gaussian_instances())
-    def test_touching_table_side_is_never_enumerated(self, instance):
-        # The strict side equals its own exact solve bit for bit, and a side
-        # whose realizable table marks the full support (its subspace meets
-        # the cone's interior) is not solved, by the enumeration or by the
-        # cell route.
+    @example(instance=boundary_kkt_instance())
+    def test_touching_table_side_is_enumerated_only_where_gordan_refuses(self, instance):
+        # The strict side equals its own exact solve bit for bit.  A side whose
+        # realizable table marks the full support (its subspace meets the cone's
+        # interior) is solved, by the enumeration or by the cell route, only
+        # where _gordan_zero refuses the strict side's witness, as
+        # primal_dual_angles promises; it then touches.
         cone, a = instance
         w = subspace_from_rowspan(a)
         sides = {"primal": (cone, w), "dual": (dual_cone(cone), complement(w))}
-        tables = []
-
-        def spy(original):
-            signature = inspect.signature(original)
-
-            def call(*args, **kwargs):
-                tables.append(signature.bind(*args, **kwargs).arguments.get("realizable"))
-                return original(*args, **kwargs)
-            return call
-
-        with mock.patch.object(coniccond.cones, "_enumerate_orthant_extremum",
-                               spy(_enumerate_orthant_extremum)), \
-                mock.patch.object(coniccond.cones, "_cell_extremum", spy(_cell_extremum)):
-            analysis = analyze(cone, None, a=a)
+        analysis, tables = analyze_with_tables(cone, a)
         assert tables
-        assert not any(table is not None and table[-1] for table in tables)
         for name, (side_cone, side_w) in sides.items():
             result = getattr(analysis, name)
             if result.angle > ANGLE_THRESHOLD:
                 assert _same(result, cone_subspace_angle(side_cone, side_w)), name
+        if any(table is not None and table[-1] for table in tables):
+            strict = "primal" if analysis.primal.angle > ANGLE_THRESHOLD else "dual"
+            touching = "dual" if strict == "primal" else "primal"
+            assert getattr(analysis, touching).angle <= ANGLE_THRESHOLD
+            assert _gordan_zero(sides[touching][0], sides[strict][1],
+                                getattr(analysis, strict)) is None
+
+    def test_boundary_kkt_instance_enumerates_the_touching_side(self):
+        # The pinned example takes the refusal: the touching primal side is
+        # solved with the complement table, whose full support is marked.
+        cone, a = boundary_kkt_instance()
+        analysis, tables = analyze_with_tables(cone, a)
+        assert analysis.status.tag is Feasibility.DUAL_STRICT
+        assert analysis.dual.angle == pytest.approx(math.asin(math.sqrt(0.05)), abs=1e-12)
+        assert _gordan_zero(cone, complement(subspace_from_rowspan(a)), analysis.dual) is None
+        assert [table[-1] for table in tables] == [False, True]
+        assert analysis.primal.angle <= ANGLE_THRESHOLD
 
 
 @st.composite

@@ -164,8 +164,29 @@ class TestParse:
             assert isinstance(cone, expected)
             assert parse_cone(cone.spec()).spec() == cone.spec()
 
+    @pytest.mark.parametrize("cone", [
+        Orthant(1), Lorentz(3), Negated(Orthant(2)), Negated(Lorentz(4)),
+        Negated(Negated(Orthant(3))), Product([Orthant(1), Negated(Orthant(2))]),
+        Product([Orthant(1), Negated(Orthant(5)), Negated(Orthant(6))]),
+        Product([Product([Orthant(1), Orthant(2)]), Negated(Negated(Lorentz(3)))]),
+        Negated(Product([Lorentz(2),
+                         Product([Negated(Orthant(1)), Negated(Negated(Orthant(2)))])])),
+    ], ids=repr)
+    def test_every_printed_spec_parses_back(self, cone):
+        parsed = parse_cone(cone.spec())
+        assert type(parsed) is type(cone)
+        assert parsed.spec() == cone.spec() and parsed.dim == cone.dim
+        if cone.orthant_signs is None:
+            assert parsed.orthant_signs is None
+        else:
+            np.testing.assert_array_equal(parsed.orthant_signs, cone.orthant_signs)
+        inside = cone.sample_units(stream(80), 20)
+        assert all(parsed.contains(x) and not parsed.contains(-x) for x in inside)
+
     @pytest.mark.parametrize("bad", ["", "orthant", "orthant:x", "simplex:3",
-                                     "product(orthant:2", "product()"])
+                                     "product(orthant:2", "product()", "negated()",
+                                     "negated(orthant:1,orthant:2)", "negated orthant:2",
+                                     "product(orthant:1)(orthant:2)"])
     def test_rejects(self, bad):
         with pytest.raises(ConeSpecError):
             parse_cone(bad)

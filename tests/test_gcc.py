@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,9 @@ from coniccond import (
     subspace_from_rowspan,
 )
 from coniccond.condition import json_number
-from coniccond.gcc import _circumcenters, _wide_route
+from coniccond import gcc
+from coniccond.gcc import _angles, _approximate_centers, _circumcenters, _clearance, _wide_route
+from coniccond.harness import gaussian_matrix, trial_stream
 from conftest import random_matrix, random_orthogonal, reference_cap, stream, structured_matrix
 
 SQ2 = math.sqrt(2.0)
@@ -227,7 +230,7 @@ def _is_wide(pts):
 def _route(pts):
     """The wide route's cap, None where it falls back."""
     count, m = pts.shape
-    return _wide_route(pts, _circumcenters(pts, m)) if 2 <= m < count else None
+    return _wide_route(pts) if 2 <= m < count else None
 
 
 # The orthant-report benchmark's shapes (m, n).
@@ -304,6 +307,144 @@ class TestWideRoute:
             assert (cap.radius, cap.support) == (full.radius, full.support)
             served += 1
         assert served > 0
+
+
+def _angle_between(u, v):
+    """Angles between the unit rows of u and v, accurate near 0."""
+    return 2.0 * np.arcsin(np.linalg.norm(u - v, axis=-1) / 2.0)
+
+
+def _exact_center(pts, subset):
+    """The unit circumcenter of the points ``subset`` from a rational solve, or None if singular."""
+    rows = [[Fraction(float(x)) for x in pts[i]] for i in subset]
+    k = len(rows)
+    aug = [[sum(p * q for p, q in zip(rows[i], rows[j])) for j in range(k)] + [Fraction(1)]
+           for i in range(k)]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        for r in range(k):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col] / aug[col][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    weights = [aug[i][k] / aug[i][i] for i in range(k)]
+    center = [sum(w * row[j] for w, row in zip(weights, rows)) for j in range(len(rows[0]))]
+    scale = max(abs(x) for x in center)
+    center = np.array([float(x / scale) for x in center])
+    return center / np.linalg.norm(center)
+
+
+def _assert_approximations_hold(pts):
+    """Each approximate center lies within its bound plus the scan's error of the scan's center.
+
+    The least well conditioned subsets are also checked against the exact center:
+    the approximate one within its bound, the scan's within its error.
+    """
+    count, m = pts.shape
+    centers, errors, approximation = _approximate_centers(pts)
+    scan = _circumcenters(pts, m)
+    if len(scan) < 2 * len(centers):
+        # The scan dropped a singular subset; its error bound is NaN, so the route declines.
+        assert np.isnan(errors).any()
+        return
+    bounded = np.isfinite(errors) & np.isfinite(approximation)
+    for sign in (0, 1):
+        rows = centers * (1.0 - 2.0 * sign)
+        gap = _angle_between(rows, scan[sign::2])
+        assert np.all(gap[bounded] <= approximation[bounded] + errors[bounded])
+    subsets = list(itertools.combinations(range(count), m))
+    # The rounding of a computed angle between unit vectors is far below either bound.
+    for k in np.argsort(-np.where(bounded, approximation, -1.0))[:4]:
+        exact = _exact_center(pts, subsets[k])
+        if bounded[k] and exact is not None:
+            assert _angle_between(centers[k], exact) <= approximation[k]
+            assert _angle_between(scan[2 * k], exact) <= errors[k]
+
+
+def _point_columns(a):
+    norms = np.linalg.norm(a, axis=0)
+    assume(np.all(norms > 0.0))
+    return (a / norms).T
+
+
+class TestApproximateCenters:
+    """The approximate size-m centers lie within their stated bounds of the scan's centers."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(kind=st.sampled_from(["gaussian", "duplicated", "antipodal", "great_circle",
+                                 "near_right_angle"]),
+           seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), extra=st.integers(1, 6))
+    def test_point_sets(self, kind, seed, m, extra):
+        _assert_approximations_hold(_point_set(kind, stream(seed), m, m + extra))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    @given(kind=st.sampled_from(["ternary", "duplicated", "antiparallel"]),
+           seed=st.integers(0, 2**32 - 1), m=st.integers(2, 6), extra=st.integers(1, 5))
+    def test_structured_columns(self, kind, seed, m, extra):
+        _assert_approximations_hold(_point_columns(structured_matrix(stream(seed), m, m + extra,
+                                                                     kind)))
+
+    @pytest.mark.parametrize("m, n", REPORT_SHAPES)
+    def test_the_route_solves_only_the_winner_and_the_rows_it_cannot_clear(self, m, n,
+                                                                          monkeypatch):
+        # Every call of the scan's per-subset code during the route, on the
+        # orthant-report benchmark's primal strict inputs: first the winner, then
+        # in order each other subset whose approximate rows cannot clear check 4.
+        solved = []
+        original = gcc._circumcenter
+
+        def spy(pts, subset):
+            solved.append(tuple(subset))
+            return original(pts, subset)
+
+        monkeypatch.setattr(gcc, "_circumcenter", spy)
+        subsets = list(itertools.combinations(range(n), m))
+        served = 0
+        for trial, a in enumerate(_report_inputs(m, n)):
+            if analyze(Orthant(n), None, a=a).status.tag is not Feasibility.PRIMAL_STRICT:
+                continue
+            pts = (a / np.linalg.norm(a, axis=0)).T
+            solved.clear()
+            cap = _wide_route(pts)
+            assert cap is not None, trial
+            centers, errors, approximation = _approximate_centers(pts)
+            block = np.repeat(centers, 2, axis=0)
+            block[1::2] *= -1.0
+            radii = _angles(pts, block).max(axis=1)
+            unclear = (radii.reshape(-1, 2).min(axis=1)
+                       <= _clearance(cap.radius, errors + approximation))
+            unclear[subsets.index(cap.support)] = False
+            assert solved == [cap.support] + [subsets[k] for k in np.flatnonzero(unclear)], trial
+            served += 1
+        assert served > 0
+
+
+class TestNearlySingularSubsets:
+    """A wide cap with a nearly or exactly singular m-subset still gets the reference cap."""
+
+    def test_the_near_singular_report_draw(self):
+        # Primal strict; one 5-subset of its columns has a Gram matrix of condition 5e16.
+        a = gaussian_matrix(trial_stream(1, 5114), 5, 10)
+        assert analyze(Orthant(10), None, a=a).status.tag is Feasibility.PRIMAL_STRICT
+        pts = (a / np.linalg.norm(a, axis=0)).T
+        assert np.isnan(_approximate_centers(pts)[1]).any()
+        assert _route(pts) is None
+        _assert_matches_reference(pts, wide=True)
+
+    @pytest.mark.parametrize("m, n", [(3, 6), (4, 8), (5, 10)])
+    def test_duplicated_columns(self, m, n):
+        for trial in range(40):
+            a = random_matrix(stream(3, 100 * n + trial), m, n)
+            if analyze(Orthant(n), None, a=a).status.tag is Feasibility.PRIMAL_STRICT:
+                break
+        a = np.column_stack([a, a[:, 0]])
+        pts = (a / np.linalg.norm(a, axis=0)).T
+        assert _is_wide(pts)
+        assert _route(pts) is None
+        _assert_matches_reference(pts, wide=True)
 
 
 class TestReportGcc:
