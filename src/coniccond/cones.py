@@ -566,7 +566,7 @@ def _realizable_supports(basis: np.ndarray) -> np.ndarray | None:
     on_entries = np.einsum("bij,bj->bi", rows, rays)
     residual = (np.sqrt(np.einsum("bi,bi->b", on_entries, on_entries))
                 + INVERSE_ROUNDING * np.sqrt(trace))
-    drift = residual * np.sqrt(_inverse_norm_bound(gram, inverse, trace)) + INVERSE_ROUNDING
+    drift = residual * np.sqrt(_inverse_norm_bound(gram, inverse, trace)[0]) + INVERSE_ROUNDING
     if not np.all((np.abs(entries) > GENERAL_POSITION_TOL + drift[:, None] * norms) | ~off):
         return None
     bits = np.int64(1) << np.arange(n)
@@ -611,14 +611,6 @@ def _spd_inverse(mats):
 
 
 def _inverse_norm_bound(mats, inverse, scale):
-    """An upper bound on ||K^-1||_F for each K of a stack, from its computed inverse X, or NaN.
-
-    The first array of _inverse_residual.
-    """
-    return _inverse_residual(mats, inverse, scale)[0]
-
-
-def _inverse_residual(mats, inverse, scale):
     """(bound, e) for each K of a stack: bound >= ||K^-1||_F (or NaN) and e >= ||I - K X||_F.
 
     K X = I - E gives K^-1 = X (I - E)^-1, so ||K^-1||_F <= ||X||_F / (1 - e)
@@ -794,7 +786,7 @@ def _sign_rejections(subs, maximize):
     inverse, _ = _spd_inverse(k_mats)
     with np.errstate(all="ignore"):
         k_norm = np.sqrt(np.einsum("bij,bij->b", k_mats, k_mats))
-        beta = _inverse_norm_bound(k_mats, inverse, k_norm)
+        beta, _ = _inverse_norm_bound(k_mats, inverse, k_norm)
         # K^-(2^s) 1 by s squarings of the scaled inverse, in two buffers.
         power, spare = inverse, np.empty_like(inverse)
         power /= beta[:, None, None]

@@ -52,7 +52,7 @@ The certificate:
    bounds every smaller subset, so each center the scan computes lies
    within CAP_CENTER_ROUNDING-scaled error of the exact one.  They also
    bound each approximate center's angle to the exact one: with e >=
-   ||I - G X||_F and beta >= ||G^-1||_F from _inverse_residual, X =
+   ||I - G X||_F and beta >= ||G^-1||_F from _inverse_norm_bound, X =
    G^-1 (I - E) gives A_S^T X 1 - A_S^T G^-1 1 = -A_S^+ E 1, and the
    pseudo-inverse A_S^+ = A_S^T G^-1 has norm lambda_min(G)^(-1/2) <=
    sqrt(beta).  So the computed A_S^T X 1 lies within sqrt(beta) e
@@ -96,7 +96,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .condition import ConditionValue
-from .cones import _inverse_residual, _spd_inverse, _support_table
+from .cones import _inverse_norm_bound, _spd_inverse, _support_table
 from .errors import EmptyInput, NonUnitPoint, ZeroColumn
 from .linalg import require_matrix
 from .tolerances import (CAP_BOUNDARY_TOL, CAP_CENTER_ROUNDING, CAP_DOT_ROUNDING, CAP_TIE_TOL,
@@ -248,7 +248,7 @@ def _approximate_centers(pts: np.ndarray):
     exact one: 2 e / (1 - e) radians, e = CAP_CENTER_ROUNDING cond_2(G) < 1/2,
     with cond_2(G) <= tr(G) ||G^-1||_F for the subset's Gram matrix G.
     approximation bounds the angle from c~ to the exact center (check 3).
-    Both read one batched _spd_inverse through _inverse_residual, whose
+    Both read one batched _spd_inverse through _inverse_norm_bound, whose
     INVERSE_ROUNDING also covers the rounding of G itself.
     """
     count, m = pts.shape
@@ -262,7 +262,7 @@ def _approximate_centers(pts: np.ndarray):
         gram = np.take(outer, gather[lo:hi])
         trace = np.einsum("bii->b", gram)               # ||A_S||_F^2
         inverse, _ = _spd_inverse(gram)
-        beta, e = _inverse_residual(gram, inverse, trace)
+        beta, e = _inverse_norm_bound(gram, inverse, trace)
         scaled[lo:hi] = CAP_CENTER_ROUNDING * trace * beta
         with np.errstate(invalid="ignore"):
             # A_S^T X 1, one row per subset.

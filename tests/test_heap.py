@@ -71,7 +71,7 @@ def _kernel_results(seed, n, size, r):
     """Every array the kernels return for one shape, each a separate entry."""
     subs = _gram_stack(seed, n - 2, n, size)
     inverse, det = _spd_inverse(subs)
-    bound = _inverse_norm_bound(subs, inverse, np.einsum("bii->b", subs))
+    bound, _ = _inverse_norm_bound(subs, inverse, np.einsum("bii->b", subs))
     rejected, lower = _sign_rejections(subs, False)
     rejected_max, lower_max = _sign_rejections(subs / (2.0 * np.abs(subs).max()), True)
     basis = _orthonormal_rows(seed, r, n)

@@ -2,15 +2,16 @@
 
 Run from the repository root:
 
-    python3 tools/byte_identity.py                  # seeds 1, 2 and 3
-    python3 tools/byte_identity.py --seeds 1 --reports 90 --chunks 12
+    python3 tools/byte_identity.py
 
-Per seed it prints the sha256 of the orthant-report outputs of operations
-0 .. reports - 1 (with witnesses, as the benchmark runs them) and of the
-orthant-ensemble outputs of chunks 0 .. chunks - 1, once at 1 worker and
-once at 2.  Each hash is over one line per output, the output in
-condbench/run.py's _comparable form (JSON with sorted keys, a chunk's
-records as one JSON list).  Progress goes to standard error; standard
+For each of seeds 1, 2 and 3 it prints the sha256 of the orthant-report
+outputs of operations 0 .. 899 (with witnesses, as the benchmark runs
+them) and of the orthant-ensemble outputs of chunks 0 .. 119, once at 1
+worker and once at 2.  These are the ranges of every BENCH file's
+byte_identity block, so the hashes compare with them directly.  Each
+hash is over one line per output, the output in condbench/run.py's
+_comparable form (JSON with sorted keys, a chunk's records as one JSON
+list).  Progress goes to standard error; standard
 output ends with one JSON object mapping "report seed S", "ensemble
 seed S 1w" and "ensemble seed S 2w" to their hashes.  Run it on two
 checkouts and compare the objects.
@@ -21,7 +22,6 @@ compare runs from one machine only.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -29,7 +29,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-THREADS_ENV = "CONIC_COND_THREADS"
+SEEDS = (1, 2, 3)
+REPORTS = 900
+CHUNKS = 120
 
 
 def _digest(outputs, comparable) -> str:
@@ -39,40 +41,34 @@ def _digest(outputs, comparable) -> str:
     return sha.hexdigest()
 
 
-def hashes(seeds, reports: int, chunks: int) -> dict[str, str]:
+def hashes() -> dict[str, str]:
     """The report and ensemble hashes of every seed, keyed as above."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "condbench")]
     # No bytecode cache in the checkout: the benchmark's setup_s reads whether one is there.
     sys.dont_write_bytecode = True
     import workloads
-    from run import _comparable
+    from run import _comparable, _threads
 
     out = {}
-    for seed in seeds:
+    for seed in SEEDS:
         report = workloads.build("orthant-report", seed)
-        out[f"report seed {seed}"] = _digest((report.run(i) for i in range(reports)),
+        out[f"report seed {seed}"] = _digest((report.run(i) for i in range(REPORTS)),
                                              _comparable)
         ensemble = workloads.build("orthant-ensemble", seed)
         for workers in ("1", "2"):
-            os.environ[THREADS_ENV] = workers
-            out[f"ensemble seed {seed} {workers}w"] = _digest(
-                (ensemble.run(i) for i in range(chunks)), _comparable)
-        os.environ.pop(THREADS_ENV, None)
+            with _threads(workers):
+                out[f"ensemble seed {seed} {workers}w"] = _digest(
+                    (ensemble.run(i) for i in range(CHUNKS)), _comparable)
         for key in (f"report seed {seed}", f"ensemble seed {seed} 1w",
                     f"ensemble seed {seed} 2w"):
             print(f"{key}: {out[key]}", file=sys.stderr, flush=True)
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--reports", type=int, default=900)
-    parser.add_argument("--chunks", type=int, default=120)
-    args = parser.parse_args(argv)
+def main() -> int:
     # One BLAS thread, as the benchmark runs; set before numpy is imported.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    print(json.dumps(hashes(args.seeds, args.reports, args.chunks), indent=1))
+    print(json.dumps(hashes(), indent=1))
     return 0
 
 
